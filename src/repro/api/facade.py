@@ -18,8 +18,9 @@ code path:
   engine/example/timeout plumbing.
 
 Requests and responses are plain wire data, so :meth:`Solver.solve_batch`
-can fan requests out to a process pool (via the runner's ``pool_map``) and
-``repro-nay serve`` can accept them over HTTP unchanged.
+can fan requests out to the supervised solve fabric (an ephemeral
+:class:`~repro.engine.supervisor.Supervisor`, or the ambient fabric under
+``serve``) and ``repro-nay serve`` can accept them over HTTP unchanged.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from repro.api.wire import (
 )
 from repro.engine.registry import create_engine, engine_names
 from repro.semantics.examples import ExampleSet
-from repro.suites import get_benchmark
+from repro.suites import get_benchmark, is_registered
 from repro.suites.base import Benchmark
 from repro.sygus import parse_sygus, parse_sygus_file, print_sygus
 from repro.sygus.problem import SyGuSProblem
@@ -480,9 +481,10 @@ class Solver:
         """Normalize any problem reference into a wire request.
 
         Accepts a :class:`SyGuSProblem` (serialized through the SyGuS-IF
-        printer so the request stays wire-clean), a :class:`Benchmark`, a
-        ``.sl`` path, inline SyGuS-IF text, a benchmark name, or an existing
-        :class:`SolveRequest` (returned with overrides applied).
+        printer so the request stays wire-clean), a :class:`Benchmark` (by
+        name when it is the registry's own object, otherwise printed like a
+        problem), a ``.sl`` path, inline SyGuS-IF text, a benchmark name, or
+        an existing :class:`SolveRequest` (returned with overrides applied).
         """
         examples = overrides.pop("examples", None)
         if isinstance(examples, ExampleSet):
@@ -505,7 +507,14 @@ class Solver:
         if isinstance(problem, SyGuSProblem):
             return SolveRequest(sl=print_sygus(problem), **base)
         if isinstance(problem, Benchmark):
-            return SolveRequest(benchmark=problem.name, suite=problem.suite, **base)
+            if is_registered(problem):
+                return SolveRequest(benchmark=problem.name, suite=problem.suite, **base)
+            # Any other benchmark (hand-built, or reusing a registered name)
+            # travels as its problem, with its witness examples unless the
+            # caller chose examples.
+            if "examples" not in base and problem.witness_examples is not None:
+                base["examples"] = list(problem.witness_examples.as_dicts())
+            return SolveRequest(sl=print_sygus(problem.problem), **base)
         if isinstance(problem, Path):
             return SolveRequest(path=str(problem), **base)
         text = str(problem)

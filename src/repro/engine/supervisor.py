@@ -268,9 +268,10 @@ def get_breakers() -> BreakerBoard:
 def _prewarm() -> None:
     """Warm the caches that make a cold worker's first request expensive.
 
-    One tiny end-to-end exact check primes the intern tables, the GFA cache
-    and the lemma store.  Warmth is best-effort — a cold worker is still a
-    correct worker.
+    The benchmark lookup builds the process's benchmark index, and one tiny
+    end-to-end exact check primes the intern tables, the GFA cache and the
+    lemma store.  Warmth is best-effort — a cold worker is still a correct
+    worker.
     """
     try:
         from repro.api.facade import run_engine

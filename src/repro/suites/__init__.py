@@ -32,6 +32,7 @@ from repro.suites.registry import (
     benchmark_examples,
     benchmarks_by_suite,
     get_benchmark,
+    is_registered,
 )
 
 __all__ = [
@@ -44,4 +45,5 @@ __all__ = [
     "benchmark_examples",
     "benchmarks_by_suite",
     "get_benchmark",
+    "is_registered",
 ]

@@ -41,9 +41,13 @@ from repro.sygus.problem import SyGuSProblem
 from repro.sygus.spec import OUTPUT_VARIABLE, Specification
 
 
-@dataclass
+@dataclass(frozen=True)
 class Benchmark:
-    """A benchmark: a SyGuS problem plus the statistics the paper reports."""
+    """A benchmark: a SyGuS problem plus the statistics the paper reports.
+
+    Frozen because the registry shares one instance per benchmark with
+    every lookup in a process.
+    """
 
     name: str
     suite: str

@@ -1,27 +1,80 @@
-"""A registry over all benchmark suites, used by the CLI and the harness."""
+"""The process-wide benchmark index, used by every surface that names one.
+
+Benchmarks are constants, so the four suites are built once per process, on
+first use and under a lock, into one index: a tuple per suite and a
+``(name, suite)`` map.  :func:`get_benchmark` — the resolution call behind
+every named request (``Solver``, the experiment runner, ``perf.py``) — is a
+dict lookup, and :func:`all_benchmarks` / :func:`benchmarks_by_suite` hand
+out fresh lists of the shared objects.  A solve-fabric worker builds the
+index in its warm-up lookup, before it reports ready.
+
+Shared objects are why :class:`~repro.suites.base.Benchmark` is frozen.
+``engine.cache.clear_cache`` leaves the index alone: it holds inputs, not
+derived results.  A ``Benchmark`` that is not the index's own object for its
+``(name, suite)`` (see :func:`is_registered`) is sent to the engines as
+SyGuS text, not by name.
+"""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import threading
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.suites.base import Benchmark
 from repro.suites.limited_const import limited_const_suite
 from repro.suites.limited_if import limited_if_suite
 from repro.suites.limited_plus import limited_plus_suite
-from repro.suites.scaling import scaling_suite
+from repro.suites.scaling import SUITE as SCALING_SUITE, scaling_suite
 from repro.utils.errors import ReproError
+
+
+class _Index(NamedTuple):
+    #: Suite name -> its benchmarks, in lookup order (LimitedPlus, LimitedIf,
+    #: LimitedConst, Scaling).
+    suites: Dict[str, Tuple[Benchmark, ...]]
+    by_key: Dict[Tuple[str, str], Benchmark]
+    #: Name -> the first benchmark of that name in suite order.
+    by_name: Dict[str, Benchmark]
+
+
+_INDEX: Optional[_Index] = None
+_INDEX_LOCK = threading.Lock()
+
+
+def _build_index() -> _Index:
+    suites = {
+        "LimitedPlus": tuple(limited_plus_suite()),
+        "LimitedIf": tuple(limited_if_suite()),
+        "LimitedConst": tuple(limited_const_suite()),
+        SCALING_SUITE: tuple(scaling_suite()),
+    }
+    by_key: Dict[Tuple[str, str], Benchmark] = {}
+    by_name: Dict[str, Benchmark] = {}
+    for benchmarks in suites.values():
+        for benchmark in benchmarks:
+            by_key[(benchmark.name, benchmark.suite)] = benchmark
+            by_name.setdefault(benchmark.name, benchmark)
+    return _Index(suites, by_key, by_name)
+
+
+def _index() -> _Index:
+    global _INDEX
+    index = _INDEX
+    if index is None:
+        with _INDEX_LOCK:
+            if _INDEX is None:
+                _INDEX = _build_index()
+            index = _INDEX
+    return index
 
 
 def benchmarks_by_suite(include_scaling: bool = False) -> Dict[str, List[Benchmark]]:
     """The three evaluation suites (and optionally the scaling suite)."""
-    suites = {
-        "LimitedPlus": limited_plus_suite(),
-        "LimitedIf": limited_if_suite(),
-        "LimitedConst": limited_const_suite(),
+    return {
+        suite: list(benchmarks)
+        for suite, benchmarks in _index().suites.items()
+        if include_scaling or suite != SCALING_SUITE
     }
-    if include_scaling:
-        suites["Scaling"] = scaling_suite()
-    return suites
 
 
 def all_benchmarks(include_scaling: bool = False) -> List[Benchmark]:
@@ -51,12 +104,27 @@ def benchmark_examples(benchmark: Benchmark, fallback_count: int = 1):
 
 
 def get_benchmark(name: str, suite: Optional[str] = None) -> Benchmark:
-    """Look a benchmark up by name (optionally disambiguated by suite)."""
-    matches = [
-        benchmark
-        for benchmark in all_benchmarks(include_scaling=True)
-        if benchmark.name == name and (suite is None or benchmark.suite == suite)
-    ]
-    if not matches:
-        raise ReproError(f"unknown benchmark {name!r}")
-    return matches[0]
+    """Look a benchmark up by name (optionally disambiguated by suite).
+
+    Without ``suite`` the first match in suite order wins.
+    """
+    index = _index()
+    if suite is None:
+        benchmark = index.by_name.get(name)
+    else:
+        benchmark = index.by_key.get((name, suite))
+    if benchmark is None:
+        where = "" if suite is None else f" in suite {suite!r}"
+        raise ReproError(f"unknown benchmark {name!r}{where}")
+    return benchmark
+
+
+def is_registered(benchmark: Benchmark) -> bool:
+    """Whether ``benchmark`` is the index's own object for its ``(name, suite)``."""
+    # Every registered object comes out of the index, so before it exists
+    # nothing is registered (and a hand-built benchmark need not build it).
+    index = _INDEX
+    return (
+        index is not None
+        and index.by_key.get((benchmark.name, benchmark.suite)) is benchmark
+    )

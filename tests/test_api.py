@@ -7,7 +7,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -24,12 +24,18 @@ from repro.api import (
     json_safe,
     solve,
 )
+from repro.api.facade import run_engine
 from repro.api.service import make_server
 from repro.cli import main as cli_main
 from repro.engine.base import EngineConfigMixin
 from repro.engine.registry import _REGISTRY, register_engine
 from repro.semantics.examples import ExampleSet
 from repro.suites import get_benchmark
+from repro.suites.scaling import (
+    example_set,
+    redundant_expression_benchmark,
+    scaling_benchmark,
+)
 from repro.sygus import parse_sygus, print_sygus
 from repro.unreal.result import CegisResult, CheckResult, Verdict
 from repro.utils.errors import ExampleExhaustionError
@@ -184,6 +190,43 @@ class TestFacade:
         problem = get_benchmark("guard1", "LimitedPlus").problem
         response = Solver(engine="naySL").solve(problem)
         assert response.verdict == "unrealizable"
+
+    def test_unregistered_benchmark_checks_its_own_problem(self):
+        benchmark = scaling_benchmark(4)  # chain_4 is not a suite member
+        response = Solver("nayHorn").check(benchmark, example_set(2))
+        expected = run_engine("nayHorn", "check", benchmark.problem, example_set(2))
+        assert response.error is None, response.error
+        assert response.verdict == expected.verdict == "unrealizable"
+
+    def test_unregistered_benchmark_solves_on_its_witness_examples(self):
+        benchmark = redundant_expression_benchmark(2)
+        response = Solver("naySL").solve(benchmark)
+        expected = run_engine(
+            "naySL", "check", benchmark.problem, benchmark.witness_examples
+        )
+        assert response.error is None, response.error
+        assert response.kind == "check"
+        assert response.num_examples == len(benchmark.witness_examples)
+        assert response.verdict == expected.verdict
+
+    def test_benchmark_goes_by_name_only_when_registered(self):
+        registered = get_benchmark("plane1", "LimitedPlus")
+        request = Solver().request(registered)
+        assert (request.benchmark, request.suite, request.sl) == (
+            "plane1",
+            "LimitedPlus",
+            None,
+        )
+        # A look-alike that reuses the name is solved on its own problem.
+        impostor = replace(
+            registered, problem=redundant_expression_benchmark(2).problem
+        )
+        request = Solver().request(impostor)
+        assert request.benchmark is None
+        assert request.sl == print_sygus(impostor.problem)
+        assert request.examples == list(registered.witness_examples.as_dicts())
+        assert Solver("naySL").solve(registered).verdict == "unrealizable"
+        assert Solver("naySL").solve(impostor).verdict == "realizable"
 
     def test_witness_certificate_is_machine_checkable(self):
         solver = Solver(engine="nayHorn")

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import sys
+import threading
+
 import pytest
 
 from repro.baselines import NayHorn, NaySL, Nope
@@ -50,8 +54,103 @@ class TestSuiteStructure:
 
     def test_lookup(self):
         assert get_benchmark("max2", "LimitedIf").suite == "LimitedIf"
-        with pytest.raises(ReproError):
+        # A name-only lookup takes the first match in suite order.
+        assert get_benchmark("guard1", "LimitedIf").suite == "LimitedIf"
+        assert get_benchmark("guard1").suite == "LimitedPlus"
+        with pytest.raises(ReproError, match="unknown benchmark 'does-not-exist'"):
             get_benchmark("does-not-exist")
+        # A known name in the wrong suite is unknown there, and says where.
+        with pytest.raises(
+            ReproError, match="unknown benchmark 'plane1' in suite 'LimitedIf'"
+        ):
+            get_benchmark("plane1", "LimitedIf")
+
+    def test_lookup_returns_the_shared_objects(self):
+        listed = all_benchmarks(include_scaling=True)
+        assert len(listed) == 141
+        for benchmark in listed:
+            found = get_benchmark(benchmark.name, benchmark.suite)
+            assert (found.name, found.suite) == (benchmark.name, benchmark.suite)
+            assert found is benchmark
+            assert get_benchmark(benchmark.name, benchmark.suite) is found
+
+    def test_returned_lists_are_fresh(self):
+        listed = all_benchmarks()
+        listed.clear()
+        by_suite = benchmarks_by_suite(include_scaling=True)
+        by_suite["LimitedPlus"].pop()
+        del by_suite["LimitedIf"]
+        assert all_benchmarks() == ALL_BENCHMARKS
+        assert len(benchmarks_by_suite(include_scaling=True)["LimitedPlus"]) == 30
+        assert set(benchmarks_by_suite(include_scaling=True)) == {
+            "LimitedPlus",
+            "LimitedIf",
+            "LimitedConst",
+            "Scaling",
+        }
+
+    def test_benchmarks_are_frozen(self):
+        benchmark = get_benchmark("plane1", "LimitedPlus")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            benchmark.expected_verdict = "realizable"
+
+    def test_suites_are_built_once_per_process(self, monkeypatch):
+        from repro.api import Solver
+        from repro.suites import registry
+
+        get_benchmark("plane1", "LimitedPlus")
+
+        def rebuilt(*args, **kwargs):
+            raise AssertionError("suite rebuilt after the first lookup")
+
+        for builder in (
+            "limited_plus_suite",
+            "limited_if_suite",
+            "limited_const_suite",
+            "scaling_suite",
+        ):
+            monkeypatch.setattr(registry, builder, rebuilt)
+        solver = Solver("nayInt")
+        for name, suite in FAST_WITNESS_BENCHMARKS[:3]:
+            benchmark = get_benchmark(name, suite)
+            response = solver.check(benchmark, benchmark.witness_examples)
+            assert response.error is None, response.error
+            assert response.verdict == "unrealizable"
+
+    def test_concurrent_first_lookups_build_one_index(self, monkeypatch):
+        from repro.suites import registry
+
+        builds = []
+        build = registry._build_index
+
+        def counted_build():
+            builds.append(None)
+            return build()
+
+        monkeypatch.setattr(registry, "_INDEX", None)
+        monkeypatch.setattr(registry, "_build_index", counted_build)
+        threads_count = 8
+        barrier = threading.Barrier(threads_count)
+        found = []
+
+        def lookup():
+            barrier.wait(timeout=30)
+            found.append(get_benchmark("plane1", "LimitedPlus"))
+
+        threads = [threading.Thread(target=lookup) for _ in range(threads_count)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(builds) == 1
+        assert len(found) == threads_count
+        assert all(benchmark is found[0] for benchmark in found)
 
     @pytest.mark.parametrize(
         "entry", ALL_BENCHMARKS, ids=[str(b) for b in ALL_BENCHMARKS]
