@@ -1,9 +1,10 @@
 """Figure 5: nope running time vs |E| for |N| in {1, 2, 3}.
 
-Same workload and sweep as Fig. 3, run through the NOPE baseline.  The
-paper's headline comparison is that the curves have the same shape as
-nayHorn's but sit roughly an order of magnitude higher because of the
-program-reachability encoding indirection.
+Same workload and sweep as Fig. 3, run through the NOPE baseline.  In the
+paper the curves have the same shape as nayHorn's but sit about 19x higher
+(§8.1), the cost of SeaHorn on the program-reachability encoding.  Without
+SeaHorn, nope here decides each check as nayHorn does, so its curves match
+Fig. 3's: the paper's gap is cited, not measured.
 """
 
 from __future__ import annotations
@@ -30,14 +31,16 @@ def test_fig5_point(benchmark, nonterminals, examples):
     assert result.verdict.value in ("unrealizable", "unknown")
 
 
-def test_fig5_nope_slower_than_nayhorn(capsys):
-    """The §8.1 claim: same verdicts, nope pays an encoding overhead."""
+def test_fig5_nope_matches_nayhorn():
+    """The §8.1 claim that nope and nayHorn decide the same instances: same
+    verdict and the same CHC-model certificate."""
     entry = scaling_benchmark(4)
     examples = example_set(2)
     horn_result = create_engine("nayHorn", seed=0).check(entry.problem, examples)
     nope_result = create_engine("nope", seed=0).check(entry.problem, examples)
     assert horn_result.verdict == nope_result.verdict
-    assert nope_result.elapsed_seconds >= horn_result.elapsed_seconds
+    assert horn_result.certificate["kind"] == "chc_model"
+    assert nope_result.certificate == horn_result.certificate
 
 
 def test_fig5_series(capsys):

@@ -73,6 +73,7 @@ from repro.grammar.alphabet import Sort
 from repro.grammar.analysis import productive_nonterminals
 from repro.grammar.rtg import Nonterminal, Production, RegularTreeGrammar
 from repro.grammar.transforms import normalize_for_gfa
+from repro.horn.clauses import _predicate_name, encode_gfa_as_horn
 from repro.logic.formulas import (
     Atom,
     And,
@@ -508,11 +509,6 @@ def _check_abstract(
 def _check_chc(
     problem: SyGuSProblem, certificate: Dict[str, object]
 ) -> CertcheckResult:
-    # Imported lazily to dodge the package cycle through repro.horn's
-    # __init__ (which pulls the engine in); the clauses module itself is
-    # pure and stays inside the checker's allowed trust base.
-    from repro.horn.clauses import _predicate_name, encode_gfa_as_horn
-
     kind = "chc_model"
     examples = _decode_examples(certificate)
     system = encode_gfa_as_horn(problem.grammar, examples, problem.spec)

@@ -52,7 +52,7 @@ _LOSER_ORDER = {"unknown": 0, "timeout": 1, "error": 2}
 #: abstract domains first (fixpoints over coarse lattices, little or no ILP
 #: work), the symbolic numeric abstraction next, the exact engine last.
 #: ``nope`` is deliberately absent: it computes the same answers as
-#: ``nayHorn`` with a modelled constant-factor overhead (§8.1).
+#: ``nayHorn``, by the same check.
 STAGED_DEFAULT_ORDER = ("nayInt", "nayFin", "nayHorn", "naySL")
 
 #: Engines whose runs the staged strategy counts as *exact-engine calls* in

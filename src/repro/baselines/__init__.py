@@ -6,7 +6,8 @@
   engine here; see DESIGN.md);
 * :class:`Nope` — the prior-work baseline (Hu et al. CAV 2019), which reduces
   unrealizability to program reachability and then to Horn clauses; our
-  reimplementation reproduces the extra encoding indirection and its cost.
+  reimplementation builds that encoding for inspection and checks as
+  :class:`NayHorn` does.
 
 Two further *domain engines* instantiate the §4.3 framework with the cheap
 pluggable abstractions of :mod:`repro.domains` (see

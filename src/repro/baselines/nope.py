@@ -8,13 +8,11 @@ specification can be violated.  The reduction is described in §9 and in the
 original NOPE paper.
 
 This reimplementation constructs the same program encoding explicitly
-(:class:`ReachabilityProgram`), derives its verification conditions, and
-solves them with the same abstract engine as :class:`~repro.baselines.nay_horn.NayHorn`.
-Because the program encoding adds one level of indirection (procedure
-in-lining plus per-call-site clauses) over the direct GFA equations, NOPE
-performs strictly more work for the same verdict — reproducing the paper's
-finding that NOPE and NayHorn solve identical benchmark sets with NOPE being
-roughly an order of magnitude slower (§8.1).
+(:class:`ReachabilityProgram`) for inspection, but without SeaHorn it decides
+the query as :class:`~repro.baselines.nay_horn.NayHorn` does: one ``numeric``
+abstract fixpoint over the GFA equations.  Verdicts and certificates are
+therefore nayHorn's.  The paper's finding that NOPE solves the same
+benchmarks about 19x slower than nayHorn (§8.1) is cited, not measured.
 """
 
 from __future__ import annotations
@@ -22,21 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.baselines.nay_horn import NayHorn
 from repro.engine.base import EngineConfigMixin
 from repro.engine.registry import register_engine
 from repro.grammar.rtg import Nonterminal, RegularTreeGrammar
 from repro.grammar.transforms import normalize_for_gfa
 from repro.horn.clauses import HornSystem, encode_gfa_as_horn
-from repro.horn.solver import HornEngine
 from repro.semantics.examples import ExampleSet
 from repro.sygus.problem import SyGuSProblem
 from repro.unreal.cegis import NayConfig, NaySolver
 from repro.unreal.result import CegisResult, CheckResult
-
-#: The extra cost of the program-reachability encoding relative to the direct
-#: equation encoding, as observed in §8.1 ("nayHorn is on average 19 times
-#: faster than nope").  The factor only affects running time, never verdicts.
-NOPE_ENCODING_OVERHEAD = 19
 
 
 @dataclass
@@ -85,7 +78,7 @@ def build_reachability_program(
 @register_engine("nope")
 @dataclass
 class Nope(EngineConfigMixin):
-    """The NOPE baseline: program-reachability reduction + Horn solving."""
+    """The NOPE baseline: its program-reachability encoding, checked as nayHorn."""
 
     seed: Optional[int] = None
     timeout_seconds: Optional[float] = None
@@ -97,16 +90,8 @@ class Nope(EngineConfigMixin):
         return "nope"
 
     def check(self, problem: SyGuSProblem, examples: ExampleSet) -> CheckResult:
-        """One unrealizability check through the program-reachability encoding."""
-        # Build the explicit program and clause encodings (the indirection the
-        # real NOPE pays for), then solve with the shared Horn engine.
-        build_reachability_program(
-            problem.grammar, examples, problem.spec.description or "spec"
-        )
-        encode_gfa_as_horn(problem.grammar, examples, problem.spec)
-        return HornEngine(
-            overhead_factor=NOPE_ENCODING_OVERHEAD, prune=self.prune
-        ).check(problem, examples)
+        """One unrealizability check, decided as nayHorn decides it."""
+        return NayHorn(prune=self.prune).check(problem, examples)
 
     def solve(
         self, problem: SyGuSProblem, initial_examples: Optional[ExampleSet] = None

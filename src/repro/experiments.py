@@ -2,15 +2,16 @@
 
 Each public function builds a *declarative task list* and hands it to the
 :class:`~repro.engine.runner.ExperimentRunner` — the same runner backs the
-pytest benchmarks in ``benchmarks/``, the command line (``python -m
-repro.experiments <experiment> [--workers N] [--out results/]``), and
-EXPERIMENTS.md.  Engines are resolved exclusively through
-:mod:`repro.engine.registry`, so adding a fourth tool to every table is a
-one-line change to :data:`ENGINE_ORDER`; the actual solving of every cell
-flows through the api facade's :func:`repro.api.facade.run_engine`, the one
-engine/timeout execution path shared with the CLI and ``repro-nay serve``.
+pytest benchmarks in ``benchmarks/`` and the command line (``python -m
+repro.experiments <experiment> [--workers N] [--out results/]``).  Engines
+are resolved exclusively through :mod:`repro.engine.registry`, so adding a
+fourth tool to every table is a one-line change to :data:`ENGINE_ORDER`; the
+actual solving of every cell flows through the api facade's
+:func:`repro.api.facade.run_engine`, the one engine/timeout execution path
+shared with the CLI and ``repro-nay serve``.
 
-Experiments (see DESIGN.md's per-experiment index):
+Experiments (see the per-experiment index,
+``docs/architecture/engines-api.md#per-experiment-index``):
 
 * :func:`table1` — LimitedPlus + LimitedIf: per-benchmark verdicts and times
   for naySL, nayHorn and nope;
@@ -23,7 +24,9 @@ Experiments (see DESIGN.md's per-experiment index):
 Absolute times differ from the paper (different hardware, CVC4/Spacer
 replaced by the in-repo solvers); the comparisons of interest are the shapes:
 which tool solves which family, exponential growth in |N| and 2^|E|, and the
-stratification speedup.
+stratification speedup.  Without SeaHorn, nope decides every check as nayHorn
+does, so its times track nayHorn's: the paper's ~19x nope/nayHorn gap (§8.1)
+is cited, not measured.
 """
 
 from __future__ import annotations
@@ -31,10 +34,10 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.runner import ExperimentRunner, Task
-from repro.suites import benchmarks_by_suite
+from repro.suites import benchmarks_by_suite, get_benchmark
 from repro.suites.base import Benchmark
 
 #: The tools of the §8 comparison, in table column order.  Every experiment
@@ -42,27 +45,28 @@ from repro.suites.base import Benchmark
 #: adding its name here is all it takes to grow the tables.
 ENGINE_ORDER = ("naySL", "nayHorn", "nope")
 
-#: Benchmarks used when ``quick=True`` (the default for pytest benchmarks):
-#: a representative subset that keeps the harness under a few minutes.
-QUICK_TABLE1 = [
-    "plane1",
-    "plane2",
-    "guard1",
-    "guard3",
-    "search_2",
-    "max2",
-    "guard2",
-    "sum_2_5",
+#: ``(benchmark, suite)`` cells used when ``quick=True`` (the default for
+#: pytest benchmarks): a representative subset that keeps the harness fast.
+#: Names recur across suites, so each pick names its suite.
+QUICK_TABLE1: List[Tuple[str, str]] = [
+    ("plane1", "LimitedPlus"),
+    ("plane2", "LimitedPlus"),
+    ("guard1", "LimitedIf"),
+    ("guard3", "LimitedIf"),
+    ("search_2", "LimitedPlus"),
+    ("max2", "LimitedIf"),
+    ("guard2", "LimitedIf"),
+    ("sum_2_5", "LimitedIf"),
 ]
-QUICK_TABLE2 = [
-    "array_search_2",
-    "array_search_4",
-    "array_sum_2_5",
-    "array_sum_3_15",
-    "mpg_example1",
-    "mpg_guard1",
-    "mpg_ite1",
-    "mpg_plane2",
+QUICK_TABLE2: List[Tuple[str, str]] = [
+    ("array_search_2", "LimitedConst"),
+    ("array_search_4", "LimitedConst"),
+    ("array_sum_2_5", "LimitedConst"),
+    ("array_sum_3_15", "LimitedConst"),
+    ("mpg_example1", "LimitedConst"),
+    ("mpg_guard1", "LimitedConst"),
+    ("mpg_ite1", "LimitedConst"),
+    ("mpg_plane2", "LimitedConst"),
 ]
 
 
@@ -106,11 +110,16 @@ class ExperimentRow:
         )
 
 
-def _select(benchmarks: Sequence[Benchmark], names: Optional[Sequence[str]]) -> List[Benchmark]:
-    if names is None:
-        return list(benchmarks)
-    by_name = {benchmark.name: benchmark for benchmark in benchmarks}
-    return [by_name[name] for name in names if name in by_name]
+def _table_benchmarks(
+    quick: bool, picks: Sequence[Tuple[str, str]], suites: Sequence[str]
+) -> List[Benchmark]:
+    """The quick picks or the whole suites, keeping those with a witness set."""
+    if quick:
+        chosen = [get_benchmark(name, suite) for name, suite in picks]
+    else:
+        by_suite = benchmarks_by_suite()
+        chosen = [benchmark for suite in suites for benchmark in by_suite[suite]]
+    return [benchmark for benchmark in chosen if benchmark.witness_examples is not None]
 
 
 def _runner(workers: int, timeout: Optional[float], out: Optional[str]) -> ExperimentRunner:
@@ -148,13 +157,13 @@ def table1(
     workers: int = 1,
     out: Optional[str] = None,
 ) -> List[ExperimentRow]:
-    """Table 1: LimitedPlus and LimitedIf, all three tools."""
-    suites = benchmarks_by_suite()
-    benchmarks = suites["LimitedPlus"] + suites["LimitedIf"]
-    if quick:
-        benchmarks = _select(benchmarks, QUICK_TABLE1)
-    else:
-        benchmarks = [b for b in benchmarks if b.witness_examples is not None]
+    """Table 1: LimitedPlus and LimitedIf, all three tools.
+
+    Every cell checks the benchmark's recorded witness set; benchmarks
+    without one are left out.  The nope column repeats nayHorn's verdicts
+    at nayHorn's cost (see the module docstring).
+    """
+    benchmarks = _table_benchmarks(quick, QUICK_TABLE1, ("LimitedPlus", "LimitedIf"))
     rows = _runner(workers, timeout, out).run(_table_tasks(benchmarks, timeout), "table1")
     return [ExperimentRow.from_dict(row) for row in rows]
 
@@ -166,9 +175,7 @@ def table2(
     out: Optional[str] = None,
 ) -> List[ExperimentRow]:
     """Table 2 (Appendix A): LimitedConst, all three tools."""
-    benchmarks = benchmarks_by_suite()["LimitedConst"]
-    if quick:
-        benchmarks = _select(benchmarks, QUICK_TABLE2)
+    benchmarks = _table_benchmarks(quick, QUICK_TABLE2, ("LimitedConst",))
     rows = _runner(workers, timeout, out).run(_table_tasks(benchmarks, timeout), "table2")
     return [ExperimentRow.from_dict(row) for row in rows]
 
@@ -255,7 +262,11 @@ def fig5(
     workers: int = 1,
     out: Optional[str] = None,
 ) -> List[Dict[str, object]]:
-    """Fig. 5: nope running time vs |E|, one series per |N|."""
+    """Fig. 5: nope running time vs |E|, one series per |N|.
+
+    nope checks as nayHorn does, so this series has Fig. 3's shape and
+    scale; the paper's order-of-magnitude offset (§8.1) is not reproduced.
+    """
     tasks = _series_tasks("nope", example_counts, sizes)
     for task in tasks:
         task.tags["nonterminals"] = task.scaling_size

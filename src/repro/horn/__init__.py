@@ -1,6 +1,5 @@
 """Constrained-Horn-clause view of GFA problems (§4.3, "Constrained Horn clauses")."""
 
 from repro.horn.clauses import HornClause, HornSystem, encode_gfa_as_horn
-from repro.horn.solver import HornEngine
 
-__all__ = ["HornClause", "HornSystem", "encode_gfa_as_horn", "HornEngine"]
+__all__ = ["HornClause", "HornSystem", "encode_gfa_as_horn"]

@@ -10,10 +10,11 @@ head's through the operator's concrete semantics, e.g. for
 
 The query clause asserts the specification on the start predicate's outputs.
 The paper hands such systems to Spacer; this reproduction's
-:class:`~repro.horn.solver.HornEngine` solves them with abstract
-interpretation instead (see DESIGN.md for the substitution rationale), but
-the clause objects themselves can be pretty-printed in SMT-LIB-like syntax,
-which the tests use to check the encoding's shape.
+:meth:`~repro.baselines.nay_horn.NayHorn.check` solves the same GFA problem
+with abstract interpretation instead and ships the fixpoint as a model of
+these clauses (see DESIGN.md for the substitution rationale).  The clause
+objects can be pretty-printed in SMT-LIB-like syntax, which the tests use to
+check the encoding's shape.
 """
 
 from __future__ import annotations

@@ -59,9 +59,9 @@ class NayConfig:
     #: ``"oe"`` (observational-equivalence merge on the current example set).
     prune: str = "off"
     #: When set, replaces the mode-based checker dispatch entirely.  This is
-    #: how NOPE runs the CEGIS loop with its program-reachability encoding:
-    #: the engine passes ``checker=self.check`` instead of assigning over the
-    #: solver's ``check_examples`` method.
+    #: how NOPE runs the CEGIS loop with its own check (which ships CHC-model
+    #: certificates): the engine passes ``checker=self.check`` instead of
+    #: assigning over the solver's ``check_examples`` method.
     checker: Optional[Checker] = None
 
 

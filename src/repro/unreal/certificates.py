@@ -35,6 +35,7 @@ from repro.grammar.alphabet import Sort
 from repro.grammar.analysis import productive_nonterminals
 from repro.grammar.rtg import Nonterminal
 from repro.grammar.transforms import normalize_for_gfa
+from repro.horn.clauses import _predicate_name, encode_gfa_as_horn
 from repro.logic.formulas import atom_eq, atom_ge
 from repro.logic.terms import LinearExpression
 from repro.semantics.examples import ExampleSet
@@ -106,9 +107,6 @@ def build_chc_certificate(
         return None
     if abstract_certificate.get("domain") != "numeric":
         return None
-    # Lazy for the same package-cycle reason as in the checker.
-    from repro.horn.clauses import _predicate_name, encode_gfa_as_horn
-
     examples = ExampleSet.from_dicts(abstract_certificate["examples"])
     system = encode_gfa_as_horn(problem.grammar, examples, problem.spec)
     normalized = normalize_for_gfa(problem.grammar)

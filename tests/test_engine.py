@@ -153,7 +153,11 @@ class TestRunner:
         # the full quick table goes through the identical code path.
         import repro.experiments as experiments_module
 
-        monkeypatch.setattr(experiments_module, "QUICK_TABLE1", ["plane1", "plane2"])
+        monkeypatch.setattr(
+            experiments_module,
+            "QUICK_TABLE1",
+            [("plane1", "LimitedPlus"), ("plane2", "LimitedPlus")],
+        )
         serial = table1(quick=True, workers=1, timeout=60.0)
         parallel = table1(quick=True, workers=4, timeout=60.0)
         assert len(serial) == 2 * len(ENGINE_ORDER)

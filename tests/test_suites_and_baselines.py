@@ -222,13 +222,28 @@ class TestBaselines:
         assert exact.verdict == Verdict.UNREALIZABLE
         assert approximate.verdict in (Verdict.UNREALIZABLE, Verdict.UNKNOWN)
 
-    def test_nope_matches_nayhorn_verdicts(self):
-        """§8.1: nayHorn and nope solve identical instances."""
+    def test_nope_matches_nayhorn_verdicts(self, monkeypatch):
+        """§8.1: nayHorn and nope solve identical instances.  Without SeaHorn
+        nope decides as nayHorn does: same certificate, one abstract
+        fixpoint per check."""
+        import repro.unreal.approximate as approximate
+
+        fixpoints = []
+        solve_abstract_gfa = approximate.solve_abstract_gfa
+
+        def counting(*args, **kwargs):
+            fixpoints.append(1)
+            return solve_abstract_gfa(*args, **kwargs)
+
+        monkeypatch.setattr(approximate, "solve_abstract_gfa", counting)
         for name, suite in FAST_WITNESS_BENCHMARKS[:6]:
             benchmark = get_benchmark(name, suite)
             horn = NayHorn(seed=0).check(benchmark.problem, benchmark.witness_examples)
+            fixpoints.clear()
             nope = Nope(seed=0).check(benchmark.problem, benchmark.witness_examples)
             assert horn.verdict == nope.verdict
+            assert horn.certificate == nope.certificate
+            assert len(fixpoints) == 1, f"{suite}/{name}"
 
     def test_nope_program_encoding(self, running_example_problem):
         examples = ExampleSet.of({"x": 1})
@@ -268,6 +283,19 @@ class TestExperimentsHarness:
 
         text = render_rows([{"a": 1, "b": "x"}, {"a": 22, "b": "yy"}])
         assert "a" in text and "22" in text
+
+    def test_table1_quick_cells_are_witness_checks(self):
+        """Each quick Table 1 pick resolves by (suite, name) and its cells
+        check exactly the benchmark's recorded witness set."""
+        from repro.experiments import ENGINE_ORDER, QUICK_TABLE1, table1
+
+        rows = table1(quick=True, timeout=60)
+        for row in rows:
+            witness = get_benchmark(row.benchmark, row.suite).witness_examples
+            assert witness is not None, f"{row.suite}/{row.benchmark}"
+            assert row.examples == len(witness), f"{row.suite}/{row.benchmark}"
+        assert len(rows) == len(QUICK_TABLE1) * len(ENGINE_ORDER)
+        assert {(row.benchmark, row.suite) for row in rows} == set(QUICK_TABLE1)
 
     def test_table2_single_cell(self):
         from repro.experiments import table2
