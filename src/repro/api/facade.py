@@ -12,15 +12,15 @@ code path:
   :class:`~repro.api.wire.SolveResponse`;
 * :func:`run_engine` — the shared engine-execution core (engine creation,
   wall-clock measurement, :class:`~repro.utils.errors.SolverLimitError`
-  mapping, and the two-sided timeout policy).  The experiment runner's
-  ``execute_task`` delegates here too, so the CLI, the batch/serve surface,
-  the experiment harness and the pytest benchmarks all share one
-  engine/example/timeout plumbing.
+  mapping, and the two-sided timeout policy).  The CLI, the batch/serve
+  surface, the experiment runner and the pytest benchmarks all share this
+  one engine/example/timeout plumbing.
 
 Requests and responses are plain wire data, so :meth:`Solver.solve_batch`
 can fan requests out to the supervised solve fabric (an ephemeral
 :class:`~repro.engine.supervisor.Supervisor`, or the ambient fabric under
 ``serve``) and ``repro-nay serve`` can accept them over HTTP unchanged.
+The experiment runner sends its cells through ``solve_batch`` too.
 """
 
 from __future__ import annotations
@@ -160,10 +160,11 @@ def run_engine(
     """Run one engine on one problem and report the outcome in wire form.
 
     This is the single place engines are instantiated and timed for solving:
-    the facade, the portfolio racer, and the experiment runner's
-    ``execute_task`` all call it.  A ``check`` with no examples falls back to
-    the full CEGIS ``solve`` (nothing to check against), matching the
-    historical runner semantics.  The two-sided timeout policy of
+    :func:`execute_request` (behind every single-engine request, portfolio
+    leg and experiment cell) and the staged strategy call it.  A ``check``
+    with no examples falls back to the full CEGIS ``solve`` (nothing to
+    check against), matching the historical runner semantics.  The
+    two-sided timeout policy of
     :func:`repro.engine.runner.apply_timeout_policy` is applied to the
     measured wall time: late definitive verdicts survive, undetermined late
     outcomes become ``timeout``.
@@ -449,8 +450,9 @@ class Solver:
 
     Construction fixes the defaults (engine, budgets, parallelism); every
     ``solve``/``check``/``solve_batch`` call may override them per request.
-    ``engine="portfolio"`` races engines on a process pool and returns the
-    first definitive verdict.
+    ``engine="portfolio"`` races engines on the supervised solve fabric and
+    returns the first definitive verdict; ``solve_batch`` with
+    ``workers > 1`` fans requests out on the same fabric.
 
     >>> Solver().solve("plane1").verdict
     'unrealizable'

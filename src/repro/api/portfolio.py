@@ -12,11 +12,11 @@ strength into latency:
   (``unrealizable``/``realizable``) wins, and the losers are cancelled
   outright (their workers killed and replaced).  A leg that crashes is an
   ``error`` result for that engine only — the race keeps going on the
-  surviving workers, which is the whole point of the fabric: under the old
-  ``ProcessPoolExecutor`` substrate one dead leg marked the pool broken and
-  tore down every sibling.  Engines whose circuit breaker is open are
-  skipped up front (``details["portfolio"]["skipped"]``) and re-admitted by
-  half-open probes once their cooldown passes.
+  surviving workers.  Engines whose circuit breaker is open are skipped up
+  front (``details["portfolio"]["skipped"]``) and re-admitted by half-open
+  probes once their cooldown passes.  Only crashed legs and legs still
+  running at the hard guard count against a breaker; a leg's reply, even
+  an in-budget ``timeout``, never does.
 * ``engine="staged"`` (:func:`solve_staged`) — engines run *in order of
   cost*, in-process: the cheap abstract domains (``nayInt``, ``nayFin``)
   first, escalating to ``nayHorn`` and finally exact ``naySL`` only while
@@ -96,7 +96,6 @@ def solve_portfolio(request: SolveRequest) -> SolveResponse:
     which still lets the fastest engine win.
     """
     from repro.api.facade import execute_request
-    from repro.engine.runner import hard_guard
     from repro.engine.supervisor import (
         FabricSaturatedError,
         Job,
@@ -104,6 +103,7 @@ def solve_portfolio(request: SolveRequest) -> SolveResponse:
         WorkerCrashError,
         get_breakers,
         get_fabric,
+        hard_guard,
     )
     from repro.testing.faults import in_worker_process
 
@@ -177,13 +177,7 @@ def solve_portfolio(request: SolveRequest) -> SolveResponse:
     def settle(name: str, response: SolveResponse) -> None:
         nonlocal winner
         finished[name] = response
-        breaker = breakers.for_engine(name)
-        if response.verdict == "timeout":
-            breaker.record_failure()
-        elif response.verdict == "error":
-            breaker.release_probe()  # deterministic failure: not the fabric's
-        else:
-            breaker.record_success()
+        breakers.for_engine(name).record_reply(response.verdict)
         if winner is None and response.is_definitive:
             winner = response
 
@@ -373,13 +367,8 @@ def solve_staged(request: SolveRequest) -> SolveResponse:
             )
         finished[name] = response
         # In-process stages cannot crash the process, so the staged ladder
-        # never *trips* a breaker — it heals the board instead: a success
-        # closes a half-open probe, anything else hands the probe back.
-        breaker = breakers.for_engine(name)
-        if response.verdict in ("unrealizable", "realizable", "unknown"):
-            breaker.record_success()
-        else:
-            breaker.release_probe()
+        # never *trips* a breaker: every stage is a reply.
+        breakers.for_engine(name).record_reply(response.verdict)
         exact_calls += 1 if name in EXACT_ENGINES else 0
         for key, value in response.solver_stats.items():
             solver_stats[key] = solver_stats.get(key, 0) + value

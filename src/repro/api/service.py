@@ -323,8 +323,8 @@ class ApiRequestHandler(BaseHTTPRequestHandler):
         fingerprint: str,
         store: Optional[ResultStore],
     ) -> Dict[str, Any]:
-        from repro.engine.runner import hard_guard
         from repro.engine.store import pristine_response, response_cacheable
+        from repro.engine.supervisor import hard_guard
 
         entry, leader = self.server.claim(fingerprint)
         if leader:

@@ -7,7 +7,7 @@ Subcommands:
   benchmark's witness example set with a chosen engine (``--examples N``
   resizes the set deterministically);
 * ``batch <dir>``           — solve every ``.sl`` file under a directory,
-  optionally on a process pool (``--workers``) and/or with a multi-engine
+  optionally on the solve fabric (``--workers``) and/or with a multi-engine
   strategy (``--tool portfolio`` races, ``--tool staged`` escalates
   cheap-to-expensive); ``--verify-certificates`` re-checks every
   unrealizable response's proof with the independent checker;
@@ -168,7 +168,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     batch.add_argument("directory")
     _add_solving_arguments(batch, tools)
     batch.add_argument(
-        "--workers", type=int, default=1, help="process-pool size (1 = in-process)"
+        "--workers", type=int, default=1, help="solve-fabric workers (1 = in-process)"
     )
     batch.add_argument(
         "--verify-certificates",

@@ -9,8 +9,10 @@ See DESIGN.md for the architecture.  In short:
   normalization and GFA equation construction;
 * :mod:`repro.engine.results` — JSONL persistence and stable-field
   comparison of experiment rows;
-* :mod:`repro.engine.runner` — the batched, optionally process-parallel
-  experiment runner with a two-sided timeout policy.
+* :mod:`repro.engine.runner` — the batched experiment runner with a
+  two-sided timeout policy, in-process or fanned out on the solve fabric;
+* :mod:`repro.engine.supervisor` — the supervised solve fabric, the one
+  place the library starts processes (imported on first use, not here).
 """
 
 from repro.engine.base import EngineConfigMixin, UnrealizabilityEngine
@@ -28,13 +30,7 @@ from repro.engine.results import (
     stable_fingerprint,
     stable_view,
 )
-from repro.engine.runner import (
-    ExperimentRunner,
-    Task,
-    apply_timeout_policy,
-    pool_map,
-    shutdown_pool_now,
-)
+from repro.engine.runner import ExperimentRunner, Task, apply_timeout_policy
 
 __all__ = [
     "UnrealizabilityEngine",
@@ -55,6 +51,4 @@ __all__ = [
     "ExperimentRunner",
     "Task",
     "apply_timeout_policy",
-    "pool_map",
-    "shutdown_pool_now",
 ]

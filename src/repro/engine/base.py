@@ -18,9 +18,10 @@ An engine is any object with
 * ``configure(**knobs)`` — a *new* engine with the given knobs replaced
   (engines are immutable values, so configuring never aliases state).
 
-The three built-in engines are plain frozen-style dataclasses, which makes
-``configure`` a ``dataclasses.replace`` and keeps engines picklable for the
-process-pool experiment runner (:mod:`repro.engine.runner`).
+The built-in engines are plain frozen-style dataclasses, which makes
+``configure`` a ``dataclasses.replace``.  Engines never cross a process
+boundary: solve-fabric workers (:mod:`repro.engine.supervisor`) receive wire
+requests and build their own engines through the registry.
 """
 
 from __future__ import annotations

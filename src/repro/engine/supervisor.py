@@ -1,12 +1,13 @@
 """The supervised solve fabric: pre-warmed workers that survive their engines.
 
-The portfolio racer, ``Solver.solve_batch`` and ``repro-nay serve`` all used
-to run legs on throwaway ``ProcessPoolExecutor`` pools.  That design has no
-failure story: a leg that dies poisons the whole pool (every sibling future
-collapses with ``BrokenProcessPool``), a stuck worker is only caught by the
-parent's 3x wall-clock guard, and every pool start re-pays the import and
-cache warm-up an engine needs.  :class:`Supervisor` replaces that substrate
-with a *supervised* pool:
+This module is the one place the library starts processes.  The portfolio
+racer, ``Solver.solve_batch`` (and through it the experiment runner's
+``--workers N``) and ``repro-nay serve`` all run on it.  A throwaway
+``ProcessPoolExecutor`` has no failure story: a leg that dies poisons the
+whole pool (every sibling future collapses with ``BrokenProcessPool``), a
+stuck worker is only caught by a wall-clock guard in the parent, and every
+pool start re-pays the import and cache warm-up an engine needs.
+:class:`Supervisor` is a *supervised* pool instead:
 
 * **pre-warmed, persistent workers** — each worker process imports the
   engine stack and runs one tiny end-to-end check at start, so the intern
@@ -25,10 +26,11 @@ with a *supervised* pool:
 * **retry with jittered exponential backoff** — only for *transient*
   failures (worker crash, corrupt reply); deterministic ``error`` verdicts
   and timeouts are never retried;
-* **per-engine circuit breakers** — K consecutive crashes/timeouts trip an
-  engine's breaker; portfolio and staged ladders skip tripped legs and
-  degrade to the remaining engines; after a cooldown a half-open probe
-  re-admits the engine.
+* **per-engine circuit breakers** — K consecutive failed requests (every
+  attempt crashed, or the hard guard fired) trip an engine's breaker;
+  portfolio and staged ladders skip tripped legs and degrade to the
+  remaining engines; after a cooldown a half-open probe re-admits the
+  engine.  A reply from a live worker is never a failure.
 
 Requests and responses cross the worker pipe in wire form
 (:class:`~repro.api.wire.SolveRequest` / ``SolveResponse`` payloads), the
@@ -56,7 +58,6 @@ from multiprocessing.connection import wait as connection_wait
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.api.wire import SolveRequest, SolveResponse, error_response
-from repro.engine.runner import hard_guard
 from repro.utils.errors import ReproError
 
 #: Default fabric size (overridable per supervisor or via REPRO_NAY_WORKERS).
@@ -73,6 +74,24 @@ TERM_GRACE_SECONDS = 1.0
 #: busy-worker heartbeat.  Small enough that a SIGKILLed worker is noticed
 #: promptly even if pipe EOF is delayed by inherited descriptors.
 POLL_SLICE_SECONDS = 0.25
+
+#: Hard wall-clock guard: how long past a request's soft timeout the fabric
+#: waits for its worker before killing it and answering ``timeout``.
+HARD_TIMEOUT_FACTOR = 3.0
+HARD_TIMEOUT_MARGIN = 30.0
+
+
+def hard_guard(timeout: Optional[float]) -> Optional[float]:
+    """The hard wall-clock budget for a soft timeout (None = unbounded).
+
+    One policy for every fabric consumer: ``Supervisor.solve`` (and so
+    ``solve_batch`` and the experiment runner), the portfolio racer and the
+    serve endpoint's dedup followers all wait this long before writing a
+    worker off as stuck.
+    """
+    if timeout is None:
+        return None
+    return timeout * HARD_TIMEOUT_FACTOR + HARD_TIMEOUT_MARGIN
 
 
 def default_worker_count() -> int:
@@ -139,7 +158,10 @@ class RetryPolicy:
 
 
 class CircuitBreaker:
-    """closed → (K consecutive crash/timeout failures) → open → half-open.
+    """closed → (K consecutive crash/hard-timeout failures) → open → half-open.
+
+    The fabric records one failure per request, not per attempt: a crash
+    that a retry recovers from is no failure at all.
 
     ``closed`` admits everything; ``open`` admits nothing until
     ``cooldown_seconds`` have passed, then a single half-open probe is let
@@ -189,6 +211,18 @@ class CircuitBreaker:
             if self.state == "half_open":
                 self.state = "open"
                 self._opened_at = time.monotonic() - self.cooldown_seconds
+
+    def record_reply(self, verdict: str) -> None:
+        """A live worker (or an in-process run) answered: never a failure.
+
+        A definitive or ``unknown`` verdict closes the breaker; an in-budget
+        ``timeout`` or an ``error`` says nothing about the engine's health,
+        so it only hands a half-open probe back.
+        """
+        if verdict in ("timeout", "error"):
+            self.release_probe()
+        else:
+            self.record_success()
 
     def record_failure(self) -> None:
         with self._lock:
@@ -723,6 +757,8 @@ class Supervisor:
             attempts += 1
             remaining = None if deadline is None else deadline - time.monotonic()
             if remaining is not None and remaining <= 0:
+                # Only retried crashes can spend the guard before an attempt.
+                breaker.record_failure()
                 response = timeout_response(request)
                 break
             soft_remaining = soft
@@ -732,7 +768,9 @@ class Supervisor:
                 job = self.submit(
                     request, soft_timeout=soft_remaining, timeout=remaining
                 )
+                response = self.harvest(job, timeout=remaining)
             except FabricSaturatedError as error:
+                breaker.release_probe()
                 response = error_response(
                     f"solve fabric saturated: {error}", request, engine=engine
                 )
@@ -741,25 +779,14 @@ class Supervisor:
             except WorkerCrashError as error:
                 replaced += 1
                 failure = str(error)
-                breaker.record_failure()
                 if attempts < self.retry.max_attempts:
                     retries += 1
                     self.stats.bump("retries")
                     time.sleep(self.retry.delay(attempts, self._rng))
                     continue
-                response = self._crash_response(request, engine, attempts, failure)
-                break
-            try:
-                response = self.harvest(job, timeout=remaining)
-            except WorkerCrashError as error:
-                replaced += 1
-                failure = str(error)
+                # The breaker counts requests, not attempts: a request that
+                # crashes on every attempt is one failure.
                 breaker.record_failure()
-                if attempts < self.retry.max_attempts:
-                    retries += 1
-                    self.stats.bump("retries")
-                    time.sleep(self.retry.delay(attempts, self._rng))
-                    continue
                 response = self._crash_response(request, engine, attempts, failure)
                 break
             except FabricTimeoutError:
@@ -770,12 +797,8 @@ class Supervisor:
                 response = timeout_response(request)
                 response.details = {**response.details, "hard_guard": True}
                 break
-            else:
-                if response.verdict == "timeout":
-                    breaker.record_failure()
-                elif response.verdict != "error":
-                    breaker.record_success()
-                break
+            breaker.record_reply(response.verdict)
+            break
 
         trips = self.breakers.trips_total() - trips_before
         if retries or replaced or trips:

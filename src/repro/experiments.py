@@ -6,9 +6,9 @@ pytest benchmarks in ``benchmarks/`` and the command line (``python -m
 repro.experiments <experiment> [--workers N] [--out results/]``).  Engines
 are resolved exclusively through :mod:`repro.engine.registry`, so adding a
 fourth tool to every table is a one-line change to :data:`ENGINE_ORDER`; the
-actual solving of every cell flows through the api facade's
-:func:`repro.api.facade.run_engine`, the one engine/timeout execution path
-shared with the CLI and ``repro-nay serve``.
+actual solving of every cell flows through the api facade
+(:meth:`repro.api.facade.Solver.solve_batch`), the one engine/timeout
+execution path shared with the CLI and ``repro-nay serve``.
 
 Experiments (see the per-experiment index,
 ``docs/architecture/engines-api.md#per-experiment-index``):
@@ -141,7 +141,6 @@ def _table_tasks(benchmarks: Sequence[Benchmark], timeout: float) -> List[Task]:
         Task(
             kind="check",
             engine=engine,
-            knobs={"seed": 0},
             benchmark=benchmark.name,
             suite=benchmark.suite,
             timeout=timeout,
@@ -221,7 +220,6 @@ def _series_tasks(engine: str, example_counts, sizes) -> List[Task]:
         Task(
             kind="check",
             engine=engine,
-            knobs={"seed": 0},
             scaling_size=size,
             example_count=count,
         )
@@ -359,7 +357,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--full", action="store_true", help="run the full (slow) configuration"
     )
     parser.add_argument(
-        "--workers", type=int, default=1, help="process-pool size (1 = in-process)"
+        "--workers",
+        type=int,
+        default=1,
+        help="solve-fabric workers for check cells (1 = in-process)",
     )
     parser.add_argument(
         "--out", default=None, help="directory to persist JSONL results under"

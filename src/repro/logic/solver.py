@@ -24,8 +24,8 @@ Three layers of reuse sit on top of the bare search:
   atom identities), so the near-identical conjunctions produced by the
   subsumption / CLIA / CEGIS pipelines hit instead of re-solving.  The
   cache pickles by converting entries to structural atom keys and
-  re-interning on load, so it can cross the experiment runner's process
-  pools.  :mod:`repro.engine.cache` exposes ``clear_cache()`` /
+  re-interning on load, so it can cross a process boundary.
+  :mod:`repro.engine.cache` exposes ``clear_cache()`` /
   ``runtime_cache_stats()`` over both structures.
 
 * **:class:`SolverContext`** — push/pop assertion scopes with
@@ -276,7 +276,7 @@ class LogicQueryCache(_BoundedLru):
 
     In-process keys are sorted atom-id tuples (cheap); pickling converts
     every entry to structural atom form and unpickling re-interns, so a
-    warmed cache can ship across the runner's process pools intact.
+    warmed cache can ship across a process boundary intact.
     """
 
     def __init__(self, max_entries: int = 65536):

@@ -38,7 +38,7 @@ Two activation channels, checked in this order:
    crosses process boundaries (spawned workers included) and scopes the
    fault to exactly one request;
 2. the ``REPRO_NAY_FAULTS`` environment variable — inherited by every
-   worker the fabric or a process pool starts, arming a whole process tree.
+   worker the solve fabric starts, arming a whole process tree.
 
 :func:`repro.api.facade.run_engine` consults :func:`inject_faults` right at
 the engine boundary (after the engine is built, before it runs) whenever
@@ -60,7 +60,7 @@ from repro.utils.errors import ReproError
 #: Environment variable holding a process-wide fault plan.
 FAULTS_ENV = "REPRO_NAY_FAULTS"
 
-#: Environment marker set in fabric/pool worker processes.  ``crash`` and
+#: Environment marker set in solve-fabric worker processes.  ``crash`` and
 #: ``hang`` only run for real where a supervising parent can reap the
 #: damage; elsewhere they degrade to :class:`InjectedFaultError`.
 WORKER_ENV = "REPRO_NAY_IN_WORKER"
@@ -169,7 +169,7 @@ def in_worker_process() -> bool:
 
 
 def mark_worker_process() -> None:
-    """Mark this process as a supervised/pooled worker (crash faults arm)."""
+    """Mark this process as a solve-fabric worker (crash faults arm)."""
     os.environ[WORKER_ENV] = "1"
 
 

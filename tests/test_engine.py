@@ -114,13 +114,15 @@ class TestTimeoutPolicy:
 
 def _small_tasks():
     return [
-        Task(kind="check", engine=engine, knobs={"seed": 0},
+        Task(kind="check", engine=engine,
              benchmark="plane1", suite="LimitedPlus", timeout=60.0)
         for engine in ENGINE_ORDER
     ] + [
-        Task(kind="check", engine="naySL", knobs={"seed": 0},
+        Task(kind="check", engine="naySL",
              benchmark="plane2", suite="LimitedPlus", timeout=60.0),
         Task(kind="gfa", scaling_size=5, example_count=2),
+        # An unregistered scaling benchmark: travels as SyGuS text.
+        Task(kind="check", engine="nayHorn", scaling_size=4, example_count=2),
     ]
 
 
@@ -219,7 +221,7 @@ class TestCache:
 class TestResultsStore:
     def test_jsonl_round_trip(self, tmp_path):
         tasks = [
-            Task(kind="check", engine="naySL", knobs={"seed": 0},
+            Task(kind="check", engine="naySL",
                  benchmark="plane1", suite="LimitedPlus", timeout=60.0),
             Task(kind="gfa", scaling_size=3, example_count=1),
         ]

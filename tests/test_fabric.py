@@ -71,71 +71,6 @@ def well_formed(response):
     return response
 
 
-# Module-level so ProcessPoolExecutor can pickle them for pool_map tests.
-def _pool_echo(value):
-    if value == "crash":
-        os._exit(70)
-    return value * 2
-
-
-def _pool_sleep_ignoring_sigterm(seconds):
-    signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    time.sleep(seconds)
-    return seconds
-
-
-class TestPoolTeardown:
-    def test_shutdown_pool_now_reaps_sigterm_ignoring_workers(self):
-        """Acceptance: SIGKILL escalation — a worker that ignores SIGTERM
-        must still be gone (no zombies, no orphans) after teardown."""
-        from concurrent.futures import ProcessPoolExecutor
-
-        from repro.engine.runner import shutdown_pool_now
-
-        pool = ProcessPoolExecutor(max_workers=2)
-        futures = [
-            pool.submit(_pool_sleep_ignoring_sigterm, 120.0) for _ in range(2)
-        ]
-        deadline = time.monotonic() + 10.0
-        while len(pool._processes) < 2 and time.monotonic() < deadline:
-            time.sleep(0.05)
-        pids = [process.pid for process in pool._processes.values()]
-        assert len(pids) == 2
-        start = time.monotonic()
-        shutdown_pool_now(pool)
-        assert time.monotonic() - start < 30.0
-        assert_dead(pids)
-        del futures  # held only to keep the workers busy during teardown
-
-    def test_pool_map_survives_a_crashing_worker(self):
-        """A crashed worker no longer poisons the batch: innocents complete
-        on the recovery pass, the crasher gets its fallback."""
-        from repro.engine.runner import pool_map
-
-        results = pool_map(
-            _pool_echo,
-            [1, "crash", 2, 3],
-            workers=2,
-            fallback_for=lambda item: "written-off",
-        )
-        assert results[0] == 2
-        assert results[1] == "written-off"
-        assert results[2] == 4
-        assert results[3] == 6
-
-    def test_pool_map_timeout_writes_off_with_fallback(self):
-        from repro.engine.runner import pool_map
-
-        results = pool_map(
-            _pool_sleep_ignoring_sigterm,
-            [60.0],
-            workers=1,
-            guard_for=lambda item: 0.5,
-            fallback_for=lambda item: "timed-out",
-        )
-        assert results == ["timed-out"]
-
-
 class TestRetryPolicy:
     def test_delays_are_bounded_and_grow(self):
         policy = RetryPolicy(
@@ -229,6 +164,8 @@ class TestCrashRecovery:
             assert "worker" in (response.error or "").lower()
             assert response.solver_stats["retries"] == 1
             assert response.solver_stats["workers_replaced"] >= 2
+            # Both attempts crashed, yet the breaker counts one failure.
+            assert board.for_engine("naySL").snapshot()["consecutive_failures"] == 1
             # The pool healed: a clean request succeeds on the replacement.
             assert fabric.solve(request()).verdict == "unrealizable"
         finally:
@@ -331,12 +268,145 @@ class TestBreakersOnTheFabric:
             assert "circuit breaker open" in (refused.error or "")
             assert refused.details["breaker"]["state"] == "open"
             time.sleep(0.25)
-            probe = fabric.solve(request())  # the half-open probe
+            # A probe that ends in an ``error`` reply (here a mistyped
+            # benchmark) hands the probe back instead of wedging the
+            # breaker half-open for the life of the process.
+            mistyped = SolveRequest(
+                benchmark="no_such_benchmark", engine="naySL", kind="check"
+            )
+            assert fabric.solve(mistyped).verdict == "error"
+            assert board.for_engine("naySL").snapshot()["state"] == "open"
+            probe = fabric.solve(request())  # the next half-open probe
             assert probe.verdict == "unrealizable"
             assert board.for_engine("naySL").snapshot()["state"] == "closed"
             assert board.trips_total() == 1
         finally:
             fabric.shutdown()
+
+    def test_in_budget_timeout_replies_never_trip_a_breaker(self):
+        """nayHorn's CEGIS gives up on these in milliseconds with a
+        ``timeout`` verdict.  Those replies come from live workers, so the
+        fabric's answers must equal the in-process ones, with nayHorn's
+        breaker still closed."""
+        from repro.api import Solver
+        from repro.suites import get_benchmark
+
+        problems = [
+            get_benchmark(name, suite)
+            for name, suite in (
+                ("guard1", "LimitedIf"),
+                ("guard2", "LimitedIf"),
+                ("guard3", "LimitedIf"),
+                ("guard4", "LimitedIf"),
+                ("max2", "LimitedIf"),
+                ("sum_2_5", "LimitedIf"),
+                ("plane1", "LimitedPlus"),
+            )
+        ]
+        solver = Solver("nayHorn", timeout_seconds=30)
+        serial = solver.solve_batch(problems, workers=1, kind="solve")
+        parallel = solver.solve_batch(problems, workers=2, kind="solve")
+        assert [r.verdict for r in serial] == ["timeout"] * 6 + ["unrealizable"]
+        assert [r.verdict for r in parallel] == [r.verdict for r in serial]
+        assert get_breakers().for_engine("nayHorn").snapshot()["state"] == "closed"
+
+    def test_race_legs_that_time_out_in_budget_stay_admitted(self):
+        """The portfolio's reply rule matches the fabric's: nayHorn legs
+        that answer ``timeout`` in three races leave it racing the fourth."""
+        from repro.api import Solver
+        from repro.suites import get_benchmark
+
+        solver = Solver("portfolio", engines=["nayHorn", "naySL"], timeout_seconds=30)
+        for name in ("guard1", "guard2", "guard3"):
+            race = solver.solve(get_benchmark(name, "LimitedIf"), kind="solve")
+            assert race.verdict == "unrealizable"
+            assert "nayHorn" in race.details["portfolio"]["finished"]
+        race = solver.solve(get_benchmark("plane1", "LimitedPlus"), kind="solve")
+        assert race.verdict == "unrealizable"
+        assert "skipped" not in race.details["portfolio"]
+        assert get_breakers().for_engine("nayHorn").snapshot()["state"] == "closed"
+
+
+class TestRunnerOnTheFabric:
+    def test_crashing_cells_become_error_rows_in_task_order(self, monkeypatch):
+        """The experiment runner's ``--workers N`` runs on the fabric: a
+        cell whose worker crashes on every attempt is an ``error`` row, and
+        every other row matches the in-process run, in task order."""
+        from repro.engine.results import stable_view
+        from repro.engine.runner import ExperimentRunner, Task
+        from repro.experiments import ENGINE_ORDER
+
+        tasks = [
+            Task(
+                kind="check",
+                engine=engine,
+                benchmark=name,
+                suite="LimitedPlus",
+                timeout=60.0,
+            )
+            for name in ("plane1", "plane2")
+            for engine in ENGINE_ORDER
+        ] + [Task(kind="gfa", scaling_size=3, example_count=1)]
+        monkeypatch.setenv("REPRO_NAY_FAULTS", "crash@nope")
+        serial = ExperimentRunner(workers=1).run(tasks)
+        parallel = ExperimentRunner(workers=2).run(tasks)
+        assert [row.get("tool") for row in parallel] == list(ENGINE_ORDER) * 2 + [None]
+        assert [row["benchmark"] for row in parallel[:-1]] == (
+            ["plane1"] * len(ENGINE_ORDER) + ["plane2"] * len(ENGINE_ORDER)
+        )
+        for row in parallel[:-1]:
+            assert (row["verdict"] == "error") == (row["tool"] == "nope"), row
+        assert parallel[-1]["semilinear_size"] >= 1
+        assert [stable_view(row) for row in parallel] == [
+            stable_view(row) for row in serial
+        ]
+
+
+    def test_one_crashing_cell_leaves_its_engine_admitted(self, monkeypatch):
+        """A cell that crashes on every attempt counts once against its
+        engine's breaker, so the engine's later cells still run and match
+        the in-process rows; the crashed check row keeps its example count."""
+        from dataclasses import replace
+
+        from repro.engine import runner
+        from repro.engine.results import stable_view
+        from repro.suites import get_benchmark
+
+        build = runner._request
+
+        def with_task_faults(solver, task, benchmark):
+            request = build(solver, task, benchmark)
+            if "faults" not in task.tags:
+                return request
+            return replace(request, tags={"faults": task.tags["faults"]})
+
+        monkeypatch.setattr(runner, "_request", with_task_faults)
+
+        def cell(engine, name, faults=None):
+            return runner.Task(
+                kind="check",
+                engine=engine,
+                benchmark=name,
+                suite="LimitedPlus",
+                timeout=60.0,
+                tags={"faults": faults} if faults else {},
+            )
+
+        # The slowed naySL cell holds the second worker while the first
+        # retries the crashing cell, so no nope reply lands in between.
+        tasks = [
+            cell("nope", "plane1", "crash@nope"),
+            cell("naySL", "plane1", "slow@naySL:1.0"),
+        ] + [cell("nope", name) for name in ("plane1", "plane2", "plane3")]
+        serial = runner.ExperimentRunner(workers=1).run(tasks)
+        parallel = runner.ExperimentRunner(workers=2).run(tasks)
+        assert [row["verdict"] for row in parallel] == ["error"] + ["unrealizable"] * 4
+        assert [stable_view(row) for row in parallel] == [
+            stable_view(row) for row in serial
+        ]
+        witness = get_benchmark("plane1", "LimitedPlus").witness_examples
+        assert parallel[0]["examples"] == len(witness) > 0
+        assert get_breakers().for_engine("nope").snapshot()["trips"] == 0
 
 
 class TestAmbientFabric:
