@@ -21,14 +21,20 @@ values are therefore the same object, equality is a pointer comparison in
 the common case, and hashes are computed once.  On top of the canonical
 identities, :meth:`SemiLinearSet.simplify` and the subsumption check are
 memoized in bounded LRU tables — the solvers re-simplify the same iterates
-on every fixpoint round, and subsumption bottoms out in integer-feasibility
-queries that are far too expensive to repeat.
+on every fixpoint round.  Simplification only pairs a linear set with the
+sets whose generators include its own (a generator-free point never contains
+another set), and subsumption bottoms out in a membership question that
+:meth:`LinearSet.contains` settles by exact integer arithmetic where it can;
+only the rest become integer-feasibility queries for the solver.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from fractions import Fraction
+from functools import reduce
+from math import gcd
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.logic.formulas import Formula, atom_eq, atom_ge, conjunction, disjunction
@@ -183,20 +189,27 @@ class LinearSet:
         yield from rec(0, self.offset)
 
     def contains(self, vector: IntVector) -> bool:
-        """Exact membership via integer feasibility of the defining equations.
+        """Exact membership: is ``vector - offset`` a sum of generators?
 
-        The defining constraints — ``o_j = offset_j + sum lambda_i * g_i[j]``
-        with ``lambda_i >= 0`` — depend only on ``self``, so they live in a
-        cached :class:`~repro.logic.solver.SolverContext` asserted once per
-        (interned) linear set; each membership query only swaps the
-        ``o_j = v_j`` assumption atoms.  Subsumption asks this question for
-        many offsets against the same container, and the skeleton reuse is
-        what lets the solver's lemma/cache layers carry work across them.
+        :func:`_member_without_solver` settles most questions by exact
+        integer arithmetic.  The rest are decided by integer feasibility of
+        the defining constraints — ``o_j = offset_j + sum lambda_i * g_i[j]``
+        with ``lambda_i >= 0`` — which depend only on ``self``, so they live
+        in a cached :class:`~repro.logic.solver.SolverContext` asserted once
+        per (interned) linear set; each query only swaps the ``o_j = v_j``
+        assumption atoms, which lets the solver's lemma/cache layers carry
+        work across the offsets that subsumption asks about.
         """
         if vector.dimension != self.dimension:
             return False
         if not self.generators:
             return self.offset == vector
+        difference = tuple(
+            value - base for value, base in zip(vector.values, self.offset.values)
+        )
+        verdict = _member_without_solver(difference, self.generators)
+        if verdict is not None:
+            return verdict
         context = _MEMBER_CONTEXTS.get(self)
         if context is None:
             from repro.logic.solver import SolverContext
@@ -383,9 +396,14 @@ class SemiLinearSet:
         every linear set of ``self`` appears in (or is subsumed by) ``other``."""
         if self is other:
             return True
+        containers = _containers(other._linear_sets)
         return all(
             linear_set in other._linear_sets
-            or any(_subsumes(candidate, linear_set) for candidate in other._linear_sets)
+            or any(
+                _subsumes(container, linear_set)
+                for _, container, generators in containers
+                if generators.issuperset(linear_set.generators)
+            )
             for linear_set in self._linear_sets
         )
 
@@ -394,9 +412,11 @@ class SemiLinearSet:
 
         Subsumption is checked with a sound, incomplete criterion (see
         :func:`_subsumes`), so simplification never changes the denoted set.
-        Results are memoized on the interned identity of ``self``; the
-        result is itself subsumption-free, so it is recorded as its own
-        fixpoint and re-simplifying it is a cache hit.
+        Only the pairs that criterion can accept are tested: the container
+        has generators, and they include the candidate's.  Results are
+        memoized on the interned identity of ``self``; the result is itself
+        subsumption-free, so it is recorded as its own fixpoint and
+        re-simplifying it is a cache hit.
         """
         # The memo key includes the dimension: __eq__ deliberately ignores it
         # (empty sets of any dimension are interchangeable as values), but the
@@ -406,15 +426,18 @@ class SemiLinearSet:
         if cached is not None:
             return cached
         sets = self._linear_sets
+        containers = _containers(sets)
         kept: List[LinearSet] = []
         for index, candidate in enumerate(sets):
             subsumed = False
-            for other_index, other in enumerate(sets):
+            for other_index, other, generators in containers:
                 if other_index == index:
+                    continue
+                if not generators.issuperset(candidate.generators):
                     continue
                 if not _subsumes(other, candidate):
                     continue
-                if _subsumes(candidate, other) and index < other_index:
+                if index < other_index and _subsumes(candidate, other):
                     # Equal denotations: keep the earlier of the two copies.
                     continue
                 subsumed = True
@@ -488,16 +511,33 @@ class SemiLinearSet:
         return f"SemiLinearSet({self})"
 
 
+def _containers(
+    linear_sets: Sequence[LinearSet],
+) -> List[Tuple[int, LinearSet, frozenset[IntVector]]]:
+    """The linear sets that can subsume another: those with generators.
+
+    A generator-free point contains only itself, and the linear sets of a
+    canonical union are pairwise distinct.  Each entry carries its index
+    (for the equal-denotation tie-break) and its generators as a set (for
+    the inclusion test of :func:`_subsumes_uncached`).
+    """
+    return [
+        (index, linear_set, frozenset(linear_set.generators))
+        for index, linear_set in enumerate(linear_sets)
+        if linear_set.generators
+    ]
+
+
 def _subsumes(container: LinearSet, candidate: LinearSet) -> bool:
     """Sound check that ``candidate``'s denotation is inside ``container``'s.
 
     The criterion: every generator of ``candidate`` must literally be a
     generator of ``container``, and ``candidate``'s offset must be reachable
-    from ``container``'s offset using ``container``'s generators (an integer
-    feasibility query).  This is sufficient but not necessary, which is all
-    the simplification needs.  Verdicts are memoized on the interned pair —
-    the feasibility query dominates simplification time and the fixpoint
-    solvers re-ask the same pairs on every iteration.
+    from ``container``'s offset using ``container``'s generators (a
+    :meth:`LinearSet.contains` question).  This is sufficient but not
+    necessary, which is all the simplification needs.  Verdicts are memoized
+    on the interned pair — the fixpoint solvers re-ask the same pairs on
+    every iteration, and a membership question can still reach the solver.
     """
     if container is candidate:
         return True
@@ -520,3 +560,105 @@ def _subsumes_uncached(container: LinearSet, candidate: LinearSet) -> bool:
         return container.contains(candidate.offset)
     except SolverLimitError:  # pragma: no cover - defensive
         return False
+
+
+#: The one-sign, one-coordinate membership rung builds a reachability table
+#: over ``0..|d|``; a larger target falls through to the solver.
+_COIN_TABLE_LIMIT = 1024
+
+
+def _member_without_solver(
+    difference: Tuple[int, ...], generators: Sequence[IntVector]
+) -> Optional[bool]:
+    """Decide ``difference = sum lambda_i * generators[i]`` over ``lambda in N``.
+
+    Each rung is exact; one that cannot decide falls through to the next,
+    and ``None`` means none decided (the caller asks the solver).
+    """
+    if not any(difference):
+        return True
+    rows = [generator.values for generator in generators]
+    live: List[Tuple[int, bool]] = []
+    for coordinate, target in enumerate(difference):
+        positive = any(row[coordinate] > 0 for row in rows)
+        negative = any(row[coordinate] < 0 for row in rows)
+        # No generator moves this coordinate the way the target needs.
+        if (target > 0 and not positive) or (target < 0 and not negative):
+            return False
+        if positive or negative:
+            live.append((coordinate, positive and negative))
+    if difference in rows:
+        return True
+    if len(live) == 1:
+        # Every generator is zero off this coordinate (zero generators are
+        # dropped), and the sign rung zeroed the target there too.
+        coordinate, mixed = live[0]
+        coins = {abs(row[coordinate]) for row in rows}
+        target = abs(difference[coordinate])
+        if mixed:
+            # Generators of both signs generate the group gcd * Z.
+            return target % reduce(gcd, coins) == 0
+        return _coin_reachable(target, coins)
+    return _unique_combination(difference, rows)
+
+
+def _coin_reachable(target: int, coins: Iterable[int]) -> Optional[bool]:
+    """Is ``target`` a sum of ``coins`` (with repetition)?  ``None`` above
+    :data:`_COIN_TABLE_LIMIT`."""
+    if target > _COIN_TABLE_LIMIT:
+        return None
+    coins = sorted(coins)
+    reachable = bytearray(target + 1)
+    reachable[0] = 1
+    for amount in range(1, target + 1):
+        for coin in coins:
+            if coin > amount:
+                break
+            if reachable[amount - coin]:
+                reachable[amount] = 1
+                break
+    return bool(reachable[target])
+
+
+def _unique_combination(
+    difference: Tuple[int, ...], rows: Sequence[Tuple[int, ...]]
+) -> Optional[bool]:
+    """Gauss-Jordan elimination of ``sum lambda_i * rows[i] = difference`` over Q.
+
+    No rational solution means not a member.  Linearly independent rows fix
+    the one rational ``lambda``: a member iff it is integral and ``>= 0``.
+    Dependent rows leave ``lambda`` free, so the question stays open.
+    """
+    unknowns = len(rows)
+    # One equation per coordinate: the coefficients of lambda, then the target.
+    matrix = [
+        [Fraction(row[coordinate]) for row in rows] + [Fraction(target)]
+        for coordinate, target in enumerate(difference)
+    ]
+    rank = 0
+    for column in range(unknowns):
+        pivot = next(
+            (index for index in range(rank, len(matrix)) if matrix[index][column]),
+            None,
+        )
+        if pivot is None:
+            continue
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        lead = matrix[rank][column]
+        matrix[rank] = [entry / lead for entry in matrix[rank]]
+        for index, equation in enumerate(matrix):
+            factor = equation[column]
+            if index != rank and factor:
+                matrix[index] = [
+                    entry - factor * pivot_entry
+                    for entry, pivot_entry in zip(equation, matrix[rank])
+                ]
+        rank += 1
+    if any(equation[unknowns] for equation in matrix[rank:]):
+        return False
+    if rank < unknowns:
+        return None
+    return all(
+        equation[unknowns].denominator == 1 and equation[unknowns] >= 0
+        for equation in matrix[:unknowns]
+    )

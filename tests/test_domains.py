@@ -4,13 +4,19 @@ the CLIA abstract semantics, and the approximate numeric domains."""
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.domains.boolvectors import BoolVectorSet
 from repro.domains.clia import CliaInterpretation
 from repro.domains.numeric import Congruence, Interval, ProductValue
-from repro.domains.semilinear import LinearSet, SemiLinearSet
+from repro.domains.semilinear import (
+    _COIN_TABLE_LIMIT,
+    LinearSet,
+    SemiLinearSet,
+    _member_without_solver,
+    _subsumes,
+)
 from repro.semantics.examples import ExampleSet
 from repro.utils.vectors import BoolVector, IntVector
 
@@ -137,6 +143,225 @@ class TestSemiLinearSet:
         simplified = value.simplify()
         for vector in value.sample(max_coefficient=1, limit=20):
             assert simplified.contains(vector)
+
+
+def _pairwise_simplify(value: SemiLinearSet) -> SemiLinearSet:
+    """The all-pairs subsumption loop of ``simplify``, frozen as an oracle."""
+    sets = value.linear_sets
+    kept = []
+    for index, candidate in enumerate(sets):
+        subsumed = False
+        for other_index, other in enumerate(sets):
+            if other_index == index:
+                continue
+            if not _subsumes(other, candidate):
+                continue
+            if _subsumes(candidate, other) and index < other_index:
+                continue
+            subsumed = True
+            break
+        if not subsumed:
+            kept.append(candidate)
+    return SemiLinearSet(kept, value.dimension)
+
+
+def _pairwise_leq(left: SemiLinearSet, right: SemiLinearSet) -> bool:
+    """The all-pairs loop of ``leq``, frozen as an oracle."""
+    if left is right:
+        return True
+    return all(
+        linear_set in right.linear_sets
+        or any(_subsumes(candidate, linear_set) for candidate in right.linear_sets)
+        for linear_set in left.linear_sets
+    )
+
+
+def _solver_contains(linear_set: LinearSet, vector: IntVector) -> bool:
+    """Membership by symbolic concretization and ``check_sat`` alone."""
+    from repro.logic.formulas import atom_eq, conjunction
+    from repro.logic.solver import check_sat
+    from repro.logic.terms import LinearExpression
+
+    outputs = [LinearExpression.variable(f"o{i}") for i in range(vector.dimension)]
+    formula = conjunction(
+        [linear_set.symbolic(outputs, tag="oracle")]
+        + [atom_eq(output, int(value)) for output, value in zip(outputs, vector)]
+    )
+    return check_sat(formula).is_sat
+
+
+@st.composite
+def generator_pools(draw, vectors):
+    """One to three random generators, plus up to two combinations of them
+    (``g + k*h``), so that some pools are linearly dependent."""
+    base = draw(st.lists(vectors, min_size=1, max_size=3))
+    combinations = st.tuples(
+        st.sampled_from(base), st.sampled_from(base), st.sampled_from([-1, 1, 2])
+    ).map(lambda parts: parts[0] + parts[1].scale(parts[2]))
+    return base + draw(st.lists(combinations, max_size=2))
+
+
+@st.composite
+def mixed_semilinear(draw, dimension=None):
+    """Points and generator-bearing sets over a shared generator pool.
+
+    Dimensions 1-4, entries in [-6, 6], generators of either sign; some
+    offsets are another set's offset moved along pool generators, so that
+    subsumption holds often enough to matter.
+    """
+    if dimension is None:
+        dimension = draw(st.integers(1, 4))
+    vectors = st.lists(
+        st.integers(-6, 6), min_size=dimension, max_size=dimension
+    ).map(IntVector)
+    pool = draw(generator_pools(vectors))
+    sets = []
+    for _ in range(draw(st.integers(1, 5))):
+        generators = draw(st.lists(st.sampled_from(pool), max_size=4, unique=True))
+        if sets and draw(st.booleans()):
+            offset = draw(st.sampled_from(sets)).offset
+            for generator in draw(st.lists(st.sampled_from(pool), max_size=2)):
+                offset = offset + generator
+        else:
+            offset = draw(vectors)
+        sets.append(LinearSet(offset, generators))
+    return SemiLinearSet(sets, dimension)
+
+
+@st.composite
+def membership_questions(draw):
+    """A linear set and a vector: its offset moved along some generators,
+    and half the time nudged off the lattice."""
+    dimension = draw(st.integers(1, 4))
+    vectors = st.lists(
+        st.integers(-6, 6), min_size=dimension, max_size=dimension
+    ).map(IntVector)
+    generators = draw(generator_pools(vectors))
+    offset = draw(vectors)
+    vector = offset
+    steps = st.lists(st.sampled_from(generators), min_size=1, max_size=3)
+    for generator in draw(steps):
+        vector = vector + generator
+    if draw(st.booleans()):
+        nudges = st.lists(st.integers(-1, 1), min_size=dimension, max_size=dimension)
+        vector = vector + IntVector(draw(nudges))
+    return LinearSet(offset, generators), vector
+
+
+ABOVE_TABLE = _COIN_TABLE_LIMIT + 1
+
+# (offset, generators, vector, member, decided): each case is settled by one
+# rung of ``LinearSet.contains``; ``decided=False`` cases reach the solver.
+MEMBERSHIP_CASES = {
+    "offset itself": ([1, 2], [[1, 0]], [1, 2], True, True),
+    "sign: no negative generator": ([0, 0], [[1, 0], [0, 1]], [-1, 0], False, True),
+    "sign: dead coordinate": ([0, 0, 0], [[1, 0, 0]], [1, 0, 2], False, True),
+    "difference is a generator": ([0, 0], [[2, 3], [1, 1]], [2, 3], True, True),
+    "mixed signs, gcd divides": ([0, 0], [[4, 0], [-6, 0]], [2, 0], True, True),
+    "mixed signs, gcd misses": ([0, 0], [[4, 0], [-6, 0]], [3, 0], False, True),
+    "coins reach": ([0], [[3], [5]], [11], True, True),
+    "coins miss": ([0], [[3], [5]], [7], False, True),
+    "negative coins reach": ([1, 0], [[0, -3], [0, -5]], [1, -13], True, True),
+    "coins above the table": ([0], [[6], [10]], [2 * ABOVE_TABLE], True, False),
+    "odd above the table": ([0], [[6], [10]], [2 * ABOVE_TABLE - 1], False, False),
+    "independent, integral": ([0, 0], [[1, 2], [3, 1]], [5, 5], True, True),
+    "independent, fractional": ([0, 0], [[1, 2], [3, 1]], [2, 2], False, True),
+    "independent, negative": ([0, 0], [[1, 0], [1, 1]], [0, 1], False, True),
+    "inconsistent": ([0, 0, 0], [[1, 1, 0], [0, 1, 1]], [1, 0, 0], False, True),
+    "dependent, member": ([-1, 0], [[-1, 0], [1, 1], [2, 2]], [-1, 1], True, False),
+    "dependent, non-member": ([-1, 0], [[-1, 0], [1, 1], [2, 2]], [0, 0], False, False),
+}
+
+
+class TestSubsumptionDifferential:
+    """The pair-restricted ``simplify``/``leq`` and the exact membership
+    rungs agree with the all-pairs loops and with the solver."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_semilinear())
+    # Two sets with one denotation (the earlier copy is kept) and a point
+    # inside both.
+    @example(sl(ls([0], [1], [-1]), ls([3], [1], [-1]), ls([5])))
+    def test_simplify_matches_pairwise_loop(self, value):
+        assert value.simplify() is _pairwise_simplify(value)
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_semilinear(), st.lists(st.booleans(), min_size=5, max_size=5))
+    @example(sl(ls([0], [2]), ls([2], [2])), [False, True, False, False, False])
+    def test_leq_matches_pairwise_loop(self, value, sides):
+        # Both operands come from one generator pool, so that a linear set on
+        # one side is often subsumed by a different one on the other.
+        sets = value.linear_sets
+        left = [linear for linear, side in zip(sets, sides) if side]
+        right = [linear for linear, side in zip(sets, sides) if not side]
+        left = SemiLinearSet(left, value.dimension)
+        right = SemiLinearSet(right, value.dimension)
+        simplified = value.simplify()
+        for small, large in ((left, right), (right, left), (value, simplified)):
+            assert small.leq(large) == _pairwise_leq(small, large)
+        assert value.leq(simplified)
+
+    def test_simplify_matches_pairwise_loop_on_suite_iterates(self, monkeypatch):
+        from repro.api import Solver
+        from repro.engine.cache import clear_cache
+        from repro.suites import get_benchmark
+
+        seen = {}
+        original = SemiLinearSet.simplify
+
+        def recording(value):
+            seen[value] = None
+            return original(value)
+
+        clear_cache()
+        monkeypatch.setattr(SemiLinearSet, "simplify", recording)
+        for suite, name in (
+            ("LimitedIf", "max2"),
+            ("LimitedIf", "example1"),
+            ("LimitedIf", "sum_2_15"),
+            ("LimitedConst", "mpg_guard4"),
+        ):
+            benchmark = get_benchmark(name, suite)
+            response = Solver("naySL").check(benchmark, benchmark.witness_examples)
+            assert response.verdict == "unrealizable"
+        monkeypatch.undo()
+        assert any(
+            sum(1 for linear in value.linear_sets if linear.generators) > 1
+            for value in seen
+        )
+        for value in seen:
+            assert value.simplify() is _pairwise_simplify(value)
+
+    @pytest.mark.parametrize("case", sorted(MEMBERSHIP_CASES))
+    def test_membership_rungs_agree_with_solver(self, case):
+        offset, generators, vector, member, decided = MEMBERSHIP_CASES[case]
+        container = ls(offset, *generators)
+        vector = IntVector(vector)
+        difference = tuple(a - b for a, b in zip(vector, container.offset))
+        verdict = _member_without_solver(difference, container.generators)
+        assert verdict == (member if decided else None)
+        assert container.contains(vector) == member
+        assert _solver_contains(container, vector) == member
+
+    @settings(max_examples=200, deadline=None)
+    @given(membership_questions())
+    def test_contains_agrees_with_solver(self, question):
+        container, vector = question
+        assert container.contains(vector) == _solver_contains(container, vector)
+
+    def test_scaling_subsumption_needs_no_solver_query(self):
+        from repro.engine.cache import clear_cache
+        from repro.logic.solver import record_queries
+        from repro.suites.scaling import example_set, scaling_benchmark
+        from repro.unreal.lia import solve_lia_gfa
+
+        clear_cache()
+        queries = []
+        with record_queries(queries):
+            solve_lia_gfa(
+                scaling_benchmark(14).problem.grammar, example_set(2), stratify=True
+            )
+        assert queries == []
 
 
 class TestBoolVectorSet:

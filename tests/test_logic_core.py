@@ -424,9 +424,14 @@ class TestCaches:
         from repro.utils.vectors import IntVector
 
         clear_cache()
-        container = LinearSet(IntVector([0, 1]), (IntVector([1, 2]),))
-        assert container.contains(IntVector([2, 5]))
-        assert not container.contains(IntVector([1, 1]))
+        # Dependent generators over two live coordinates: neither query is
+        # settled by the exact rungs of ``contains``, so both reach the solver.
+        container = LinearSet(
+            IntVector([-1, 0]),
+            (IntVector([-1, 0]), IntVector([1, 1]), IntVector([2, 2])),
+        )
+        assert container.contains(IntVector([-1, 1]))
+        assert not container.contains(IntVector([0, 0]))
         assert semilinear_cache_stats()["member_contexts"]["entries"] == 1
         clear_cache()
         assert semilinear_cache_stats()["member_contexts"]["entries"] == 0
