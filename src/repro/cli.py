@@ -30,8 +30,9 @@ Subcommands:
   per size) and ``stats`` (grammar + automaton + minimized sizes);
 * ``experiments <name>``    — shorthand for ``python -m repro.experiments``;
 * ``bench``                 — run a perf harness (``--suite fixpoint``,
-  ``logic``, ``domains``, ``grammar``, ``chaos``, ``serve`` or ``all``)
-  and write its versioned ``BENCH_*.json`` artifact.
+  ``logic``, ``domains``, ``grammar``, ``chaos``, ``serve`` or ``all``),
+  write its versioned ``BENCH_*.json`` artifact and check the suite's
+  gates (:data:`repro.perf.SUITES`); exits 1 when a gate fails.
 
 ``solve``/``check``/``batch``/``serve`` accept ``--store PATH`` (or the
 ``REPRO_NAY_STORE`` environment variable) to name a persistent result
@@ -71,6 +72,13 @@ def _nonnegative(value: str) -> int:
     parsed = int(value)
     if parsed < 0:
         raise argparse.ArgumentTypeError("example count must be >= 0")
+    return parsed
+
+
+def _positive(value: str) -> int:
+    parsed = int(value)
+    if parsed < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
     return parsed
 
 
@@ -311,7 +319,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     bench = subparsers.add_parser(
         "bench",
-        help="run a perf harness and write its BENCH_*.json artifact",
+        help="run a perf harness, write its BENCH_*.json artifact and check "
+        "its gates",
     )
     bench.add_argument(
         "--suite",
@@ -329,7 +338,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "(chaos and serve excluded; run them explicitly)",
     )
     bench.add_argument(
-        "--repeat", type=int, default=3, help="timed repetitions per measurement"
+        "--repeat", type=_positive, default=3, help="timed repetitions per measurement"
     )
     bench.add_argument(
         "--quick", action="store_true", help="small sweep for CI smoke runs"
@@ -432,55 +441,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if arguments.command == "bench":
         from repro import perf
 
-        suites = (
-            ["fixpoint", "logic", "domains", "grammar"]
-            if arguments.suite == "all"
-            else [arguments.suite]
-        )
-        if arguments.out is not None and len(suites) > 1:
+        names = perf.TIMING_SUITES if arguments.suite == "all" else (arguments.suite,)
+        if arguments.out is not None and len(names) > 1:
             print("--out requires a single --suite", file=sys.stderr)
             return 1
-        for suite in suites:
-            if suite == "fixpoint":
-                report = perf.run_perf_suite(
-                    repetitions=arguments.repeat, quick=arguments.quick
-                )
-                print(perf.render_report(report))
-                default_path = perf.DEFAULT_BENCH_PATH
-            elif suite == "domains":
-                report = perf.run_domains_suite(
-                    repetitions=arguments.repeat, quick=arguments.quick
-                )
-                print(perf.render_domains_report(report))
-                default_path = perf.DEFAULT_DOMAINS_BENCH_PATH
-            elif suite == "grammar":
-                report = perf.run_grammar_suite(
-                    repetitions=arguments.repeat, quick=arguments.quick
-                )
-                print(perf.render_grammar_report(report))
-                default_path = perf.DEFAULT_GRAMMAR_BENCH_PATH
-            elif suite == "chaos":
-                report = perf.run_chaos_suite(
-                    repetitions=arguments.repeat, quick=arguments.quick
-                )
-                print(perf.render_chaos_report(report))
-                default_path = perf.DEFAULT_CHAOS_BENCH_PATH
-            elif suite == "serve":
-                report = perf.run_serve_suite(
-                    repetitions=arguments.repeat, quick=arguments.quick
-                )
-                print(perf.render_serve_report(report))
-                default_path = perf.DEFAULT_SERVE_BENCH_PATH
-            else:
-                report = perf.run_logic_suite(
-                    repetitions=arguments.repeat, quick=arguments.quick
-                )
-                print(perf.render_logic_report(report))
-                default_path = perf.DEFAULT_LOGIC_BENCH_PATH
+        failed = False
+        for name in names:
+            report = perf.run_suite(name, arguments.repeat, arguments.quick)
+            print(perf.render(report))
             if arguments.out != "-":
-                target = perf.write_report(report, arguments.out or default_path)
-                print(f"wrote {target}")
-        return 0
+                path = arguments.out or perf.SUITES[name].path
+                print(f"wrote {perf.write_report(report, path)}")
+            for passed, line in perf.check_gates(report):
+                print(line)
+                failed = failed or not passed
+        return 1 if failed else 0
 
     if arguments.command == "experiments":
         passthrough = [arguments.name, "--workers", str(arguments.workers)]

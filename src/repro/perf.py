@@ -1,71 +1,58 @@
 """The repeatable perf harnesses behind ``repro-nay bench``.
 
-Four suites live here, selected with ``--suite``:
+Six suites live here, one entry each in :data:`SUITES`, selected with
+``--suite``:
 
-* ``fixpoint`` (default) — every workload measured for both fixpoint
-  strategies (``worklist`` vs ``dense``, see :mod:`repro.gfa.fixpoint`)
-  *in the same run*, written to ``BENCH_fixpoint.json``;
-* ``logic`` — the DPLL(T) core harness: records the **query streams of real
-  workloads** (the fig2 exact-Newton sweep, Table 1/2 benchmark checks) via
+* ``fixpoint`` (default) — fixpoint workloads measured for both fixpoint
+  strategies (``worklist`` vs ``dense``, see :mod:`repro.gfa.fixpoint`) *in
+  the same run*: Kleene iteration on Boolean chain systems, the paper's
+  Fig. 2 exact-Newton legs and its Fig. 3 abstract-engine legs;
+* ``logic`` — the DPLL(T) core: records the **query streams of real
+  workloads** (Table 1/2 benchmark checks, a seeded random mix) via
   :func:`repro.logic.solver.record_queries` and replays each stream through
   the incremental solver *and* the preserved pre-rewrite baseline
-  (:mod:`repro.logic.reference`) in the same run, writing queries/sec,
-  simplex pivots, lemma hits and cache hits to ``BENCH_logic.json``.
-  Verdict agreement between the two stacks is asserted before timing.
-* ``domains`` — the columnar evaluation core harness: an example-count
-  sweep (|E| = 10 → 5000) over the batched-evaluation hot paths, each
-  measured through up to three legs in the same run — ``reference`` (the
-  frozen pre-columnar twins in :mod:`repro.semantics.reference` and
-  :mod:`repro.domains.reference`), ``python`` (the columnar code on the
-  pure-Python backend) and ``numpy`` (the same code on the numpy backend,
-  absent when numpy is not installed).  Result agreement across legs is
-  asserted before timing; ``examples_per_sec`` and leg-vs-leg speedups go
-  to ``BENCH_domains.json``.
+  (:mod:`repro.logic.reference`).  Verdict agreement between the two
+  stacks is checked before timing;
+* ``domains`` — the columnar evaluation core over an example-count sweep
+  (|E| = 10 → 5000), each workload measured through up to three legs:
+  ``reference`` (the frozen pre-columnar twins in
+  :mod:`repro.semantics.reference` and :mod:`repro.domains.reference`),
+  ``python`` and ``numpy`` (the columnar code on either backend; absent
+  when numpy is not installed).  Result agreement across legs is checked
+  before timing;
+* ``grammar`` — observational-equivalence pruning on fig2/fig3-style
+  solves, and the memoized enumerator against the frozen reference;
 * ``chaos`` — the resilience sweep over the supervised solve fabric
-  (:mod:`repro.engine.supervisor`): a slate of fault-injected requests
-  (crash, hang, slow, corrupt, oom, error — plus a real ``kill -9`` of a
-  busy worker mid-solve) driven through :meth:`Supervisor.solve`, asserting
-  that every request comes back as a well-formed
-  :class:`~repro.api.wire.SolveResponse`, that the pool self-heals (clean
-  requests succeed on replaced workers afterwards), and that a tripped
-  circuit breaker recovers through its half-open probe.  Retries, worker
-  replacements, breaker trips and injected-fault counts go to
-  ``BENCH_chaos.json``.
+  (:mod:`repro.engine.supervisor`): fault-injected requests that must all
+  come back as well-formed responses.  It measures survival, not speed;
+* ``serve`` — concurrent clients over the real HTTP server and a fresh
+  persistent result store, cold vs warm.
 
-Both artifacts are versioned; medians are compared like with like on the
-same machine and interpreter state, giving future changes a perf trajectory
-to compare against (see DESIGN.md).
+Every suite shares three pieces: :func:`run_suite` wraps a suite's rows in
+one versioned report envelope, :func:`render` prints any report as one
+table, and :func:`_time_legs` is the one timing loop.  It clears the
+process-wide memo tables before *every* timed call, so no leg warms the
+caches for another, and it rotates the order of a workload's legs on every
+repetition, so a slow spell of the host is not always charged to the same
+leg.
 
-Fixpoint workload groups:
-
-* ``kleene``  — pure solver microbenchmark: Kleene iteration on synthetic
-  chain systems over the Boolean semiring (the worst case for dense
-  iteration: information flows one edge per round);
-* ``fig2``    — the paper's Fig. 2 scaling workload: exact semi-linear-set
-  solving (stratified Newton) of chain grammars, |N| x |E| sweep;
-* ``fig3``    — the Fig. 3/5 scaling workload: the approximate product-domain
-  engine on the same chain grammars;
-* ``semilinear`` — micro-operations of the semi-linear domain (combine /
-  extend / star / simplify);
-* ``solve``   — end-to-end ``Solver.solve`` through the public api facade on
-  a scaling benchmark (worklist strategy only; the facade always runs the
-  default strategy);
-* ``domains`` — the pluggable domain engines (``nayInt``, ``nayFin``) and
-  the ``staged`` strategy checking a fixed benchmark slate through the api
-  facade (worklist only).  The ``evaluations`` column records how many of
-  the slate's instances the engine decided, so a precision regression in a
-  cheap domain shows up in the artifact next to its timing.
-
-Fairness: the process-wide memo tables (GFA cache, simplification memos) are
-cleared before *every* timed repetition, so neither strategy warms the cache
-for the other.
+A suite's gates are data: each :class:`Gate` names a ``summary`` key, a
+comparison, the bar a full run (and so the committed artifact) must meet,
+and the bar a ``--quick`` run must meet.  ``repro-nay bench`` checks them
+after writing the artifact, prints one line per gate and exits 1 when one
+fails.  Medians are compared like with like on the same machine and
+interpreter state, giving future changes a perf trajectory to compare
+against (see DESIGN.md).
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import statistics
 import time
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -74,11 +61,9 @@ from repro.engine.registry import create_engine
 from repro.gfa.equations import EquationSystem, Monomial, Polynomial
 from repro.gfa.fixpoint import DENSE, STRATEGIES, WORKLIST, FixpointStats
 from repro.gfa.kleene import solve_kleene
-from repro.gfa.semiring import BooleanSemiring, SemiLinearSemiring
-from repro.gfa.stratify import equation_strata
+from repro.gfa.semiring import BooleanSemiring
 from repro.domains.reference import ReferenceIntervalDomain
 from repro.domains.registry import create_domain
-from repro.domains.semilinear import LinearSet, SemiLinearSet
 from repro.grammar import alphabet as alph
 from repro.grammar.terms import Term
 from repro.logic.formulas import Formula
@@ -97,40 +82,176 @@ from repro.suites.scaling import (
 )
 from repro.utils.columns import NUMPY_OPS, use_backend
 from repro.utils.errors import ReproError
-from repro.utils.vectors import IntVector
 
-#: Version of the BENCH_fixpoint.json schema.
-#:
-#: * **2** — added the ``certification`` section: per-engine counts of
-#:   unrealizable verdicts whose certificates the independent checker
-#:   (:mod:`repro.analysis.certcheck`) accepted, over a fixed slate.
-BENCH_SCHEMA_VERSION = 2
-
-#: Version of the BENCH_logic.json schema.
-LOGIC_BENCH_SCHEMA_VERSION = 1
-
-#: Version of the BENCH_domains.json schema (see docs/bench-artifacts.md).
-DOMAINS_BENCH_SCHEMA_VERSION = 1
-
-#: Version of the BENCH_chaos.json schema (the fault-injection sweep over
-#: the solve fabric; see docs/architecture/fabric.md).
-CHAOS_BENCH_SCHEMA_VERSION = 1
-
-#: Version of the BENCH_serve.json schema (the concurrent-client load
-#: harness over the HTTP server + persistent result store; see
-#: docs/bench-artifacts.md).
-SERVE_BENCH_SCHEMA_VERSION = 1
-
-#: Default artifact paths (repo root when run from a checkout).
-DEFAULT_BENCH_PATH = "BENCH_fixpoint.json"
-DEFAULT_LOGIC_BENCH_PATH = "BENCH_logic.json"
-DEFAULT_DOMAINS_BENCH_PATH = "BENCH_domains.json"
-DEFAULT_CHAOS_BENCH_PATH = "BENCH_chaos.json"
-DEFAULT_SERVE_BENCH_PATH = "BENCH_serve.json"
+Report = Dict[str, object]
 
 
 # ---------------------------------------------------------------------------
-# Workload definitions
+# Shared pieces: timing, cells, gates, envelope, rendering
+# ---------------------------------------------------------------------------
+
+
+def _time_legs(
+    legs: Dict[str, Callable[[], object]], repetitions: int
+) -> Dict[str, List[float]]:
+    """Wall seconds of every leg of one workload, ``repetitions`` samples each.
+
+    Caches are cleared before every timed call.  The leg order rotates by
+    one on each repetition, so with two legs they alternate.
+    """
+    names = list(legs)
+    seconds: Dict[str, List[float]] = {name: [] for name in names}
+    for repetition in range(repetitions):
+        shift = repetition % len(names)
+        for name in names[shift:] + names[:shift]:
+            clear_cache()
+            started = time.perf_counter()
+            legs[name]()
+            seconds[name].append(time.perf_counter() - started)
+    return seconds
+
+
+def _cell(
+    seconds: List[float], rate: Optional[str] = None, work: int = 0, **extra: object
+) -> Dict[str, object]:
+    """One leg's measurement; ``rate`` names ``work`` per median second."""
+    median = statistics.median(seconds)
+    cell: Dict[str, object] = {
+        "median_seconds": median,
+        "min_seconds": min(seconds),
+        "repetitions": len(seconds),
+        "seconds": seconds,
+        **extra,
+    }
+    if rate is not None:
+        cell[rate] = work / median if median > 0 else None
+    return cell
+
+
+def _ratio(numerator: Optional[float], denominator: Optional[float]) -> Optional[float]:
+    return numerator / denominator if numerator is not None and denominator else None
+
+
+def _median_seconds(row: Dict[str, object], leg: str) -> Optional[float]:
+    cell = row.get(leg)
+    return cell["median_seconds"] if isinstance(cell, dict) else None
+
+
+def _speedup_summary(rows: Sequence[Dict[str, object]]) -> Dict[str, object]:
+    """``<group>_min_speedup`` and ``<group>_median_speedup`` per row group."""
+    summary: Dict[str, object] = {}
+    for group in sorted({row["group"] for row in rows}):
+        speedups = [
+            row["speedup"]
+            for row in rows
+            if row["group"] == group and row.get("speedup") is not None
+        ]
+        if speedups:
+            summary[f"{group}_min_speedup"] = min(speedups)
+            summary[f"{group}_median_speedup"] = statistics.median(speedups)
+    return summary
+
+
+_COMPARISONS = {">=": operator.ge, "<=": operator.le, "is": operator.is_}
+
+
+@dataclass(frozen=True)
+class Gate:
+    """A bar on one ``summary`` key.
+
+    ``full`` is checked on full runs, and so on the committed artifact;
+    ``quick`` is checked on ``--quick`` runs.  ``None`` leaves that mode
+    unchecked.  ``op`` is ``">="``, ``"<="`` or ``"is"``.
+    """
+
+    key: str
+    op: str
+    full: object = None
+    quick: object = None
+
+    def bar(self, quick: bool) -> object:
+        return self.quick if quick else self.full
+
+    def check(self, summary: Dict[str, object], quick: bool) -> Tuple[bool, str]:
+        """Whether ``summary`` meets this gate's bar, and a one-line verdict."""
+        bar = self.bar(quick)
+        head = f"gate {self.key} {self.op} {bar}:"
+        value = summary.get(self.key)
+        if value is None:
+            return False, f"{head} FAIL, {self.key!r} is missing from the summary"
+        passed = bool(_COMPARISONS[self.op](value, bar))
+        return passed, f"{head} {_format(value)} {'ok' if passed else 'FAIL'}"
+
+
+def check_gates(report: Report) -> List[Tuple[bool, str]]:
+    """Check a report against its suite's gates for its mode (full or quick)."""
+    quick = bool(report["quick"])
+    return [
+        gate.check(report["summary"], quick)
+        for gate in SUITES[report["suite"]].gates
+        if gate.bar(quick) is not None
+    ]
+
+
+def run_suite(name: str, repetitions: int = 3, quick: bool = False) -> Report:
+    """Run one suite and wrap its rows and summary in the report envelope."""
+    suite = SUITES[name]
+    body = suite.run(repetitions, quick)
+    return {
+        "schema_version": suite.schema_version,
+        "suite": name,
+        "created_unix": int(time.time()),
+        "repetitions": repetitions,
+        "quick": quick,
+        **body,
+    }
+
+
+def write_report(report: Report, path: str | Path) -> Path:
+    target = Path(path)
+    target.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    return target
+
+
+def _format(value: object) -> str:
+    return str(round(value, 3)) if isinstance(value, float) else str(value)
+
+
+def _render_cell(row: Dict[str, object], path: str, template: str) -> str:
+    value: object = row
+    for key in path.split("."):
+        value = value.get(key) if isinstance(value, dict) else None
+    if value is None:
+        return "-"
+    if isinstance(value, list):
+        return ",".join(sorted({str(item) for item in value}))
+    return template.format(value)
+
+
+def render(report: Report) -> str:
+    """A report's rows as one aligned table, followed by its summary."""
+    suite = SUITES[report["suite"]]
+    table = [[header for header, _, _ in suite.columns]]
+    for row in report[suite.rows]:
+        table.append(
+            [_render_cell(row, path, template) for _, path, template in suite.columns]
+        )
+    widths = [max(len(line[index]) for line in table) for index in range(len(table[0]))]
+    lines = [
+        "  ".join(
+            cell.ljust(width) if index == 0 else cell.rjust(width)
+            for index, (cell, width) in enumerate(zip(line, widths))
+        )
+        for line in table
+    ]
+    lines.extend(
+        f"  {key}: {_format(value)}" for key, value in sorted(report["summary"].items())
+    )
+    return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# The fixpoint suite: worklist vs dense strategies
 # ---------------------------------------------------------------------------
 
 
@@ -190,309 +311,84 @@ def _run_fig3(nonterminals: int, examples: int, strategy: str) -> FixpointStats:
     return FixpointStats(strategy, solution.iterations, solution.evaluations)
 
 
-def _semilinear_inputs(count: int, dimension: int = 2) -> List[SemiLinearSet]:
-    values = []
-    for index in range(count):
-        offset = IntVector([index % 5, (2 * index) % 7])
-        generators = (
-            IntVector([1 + index % 3, index % 4]),
-            IntVector([index % 2, 1 + index % 5]),
-        )
-        values.append(SemiLinearSet([LinearSet(offset, generators)], dimension))
-    return values
+def _fixpoint_workloads(
+    quick: bool,
+) -> List[Tuple[str, str, Callable[[str], FixpointStats], Sequence[str]]]:
+    """``(name, group, run, strategies)``; ``quick`` shrinks the sweep for CI.
 
-
-def _run_semilinear(count: int, strategy: str) -> FixpointStats:
-    """Micro: fold combine/extend/star/simplify over generated sets.
-
-    The strategy knob is meaningless for pure domain operations; both legs run
-    the identical loop so that the recorded "speedup" reflects the memoized
-    simplification path (cleared before each repetition) staying at 1x-ish.
+    * ``kleene`` — Kleene iteration on synthetic chain systems over the
+      Boolean semiring (the worst case for dense iteration: information
+      flows one edge per round);
+    * ``fig2`` — the paper's Fig. 2 scaling workload: exact semi-linear-set
+      solving (stratified Newton) of chain grammars, |N| x |E| sweep;
+    * ``fig3`` — the Fig. 3/5 scaling workload: the approximate
+      product-domain engine on the same chain grammars.
     """
-    del strategy
-    values = _semilinear_inputs(count)
-    accumulated = SemiLinearSet.empty(2)
-    operations = 0
-    for value in values:
-        accumulated = accumulated.combine(value).simplify()
-        operations += 2
-    product = values[0]
-    for value in values[1:]:
-        product = product.extend(value).simplify()
-        operations += 2
-    star = accumulated.star()
-    operations += 1
-    assert star.linear_sets
-    return FixpointStats(WORKLIST, 1, operations)
-
-
-class Workload:
-    """One named, parameterised measurement."""
-
-    def __init__(
-        self,
-        name: str,
-        group: str,
-        run: Callable[[str], FixpointStats],
-        strategies: Sequence[str] = STRATEGIES,
-    ):
-        self.name = name
-        self.group = group
-        self.run = run
-        self.strategies = tuple(strategies)
-
-
-def _solver_workload() -> Workload:
-    from repro.api import Solver
-
-    def run(strategy: str) -> FixpointStats:
-        del strategy
-        solver = Solver(engine="naySL", timeout_seconds=120.0)
-        response = solver.solve("chain_14")
-        assert response.error is None, response.error
-        return FixpointStats(WORKLIST, 0, 0)
-
-    return Workload("solve_end_to_end_chain14", "solve", run, strategies=(WORKLIST,))
-
-
-#: Benchmark slate the ``domains`` workloads check (cheap-domain-friendly
-#: instances plus one that forces escalation).
-DOMAIN_BENCH_SLATE = ("plane1", "guard1", "mpg_guard1", "max2")
-
-
-def _domain_engine_workload(engine_name: str) -> Workload:
-    from repro.api import Solver
-
-    def run(strategy: str) -> FixpointStats:
-        del strategy
-        solver = Solver(engine=engine_name, timeout_seconds=120.0)
-        decided = 0
-        for benchmark in DOMAIN_BENCH_SLATE:
-            response = solver.check(benchmark)
-            assert response.error is None, response.error
-            assert response.verdict != "realizable", (
-                f"{engine_name} claimed realizable on {benchmark}"
-            )
-            decided += response.verdict == "unrealizable"
-        return FixpointStats(WORKLIST, 0, decided)
-
-    return Workload(
-        f"domains_{engine_name}", "domains", run, strategies=(WORKLIST,)
-    )
-
-
-#: Benchmark slate the certification sweep checks: one representative per
-#: family the engines disagree on (LIA planes, guarded families, CLIA).
-CERT_BENCH_SLATE = ("plane1", "plane2", "guard1", "guard2", "mpg_guard1", "max2")
-
-
-def _certification_rates(quick: bool = False) -> Dict[str, object]:
-    """Per-engine certificate coverage over :data:`CERT_BENCH_SLATE`.
-
-    For every registered engine, check each slate benchmark and count how
-    many ``unrealizable`` verdicts shipped a certificate the independent
-    checker (:func:`repro.analysis.certcheck.check_certificate`) accepts.
-    The rates land in ``BENCH_fixpoint.json`` so a certification regression
-    (an engine silently losing its proof emitter) shows up in the bench
-    diff, not just in CI's dedicated certcheck job.
-    """
-    from repro.analysis import check_certificate
-    from repro.api import Solver
-    from repro.engine.registry import engine_names
-    from repro.suites.registry import get_benchmark
-
-    slate = CERT_BENCH_SLATE[:2] if quick else CERT_BENCH_SLATE
-    rates: Dict[str, object] = {}
-    for engine_name in engine_names():
-        solver = Solver(engine=engine_name, timeout_seconds=120.0)
-        unrealizable = 0
-        certified = 0
-        for name in slate:
-            benchmark = get_benchmark(name)
-            response = solver.check(benchmark)
-            assert response.error is None, response.error
-            if response.verdict != "unrealizable":
-                continue
-            unrealizable += 1
-            if response.certificate is not None and check_certificate(
-                benchmark.problem, response.certificate
-            ):
-                certified += 1
-        rates[engine_name] = {
-            "unrealizable": unrealizable,
-            "certified": certified,
-            "rate": (certified / unrealizable) if unrealizable else None,
-        }
-    return rates
-
-
-def default_workloads(quick: bool = False) -> List[Workload]:
-    """The standard suite; ``quick`` shrinks the sweep for CI smoke runs."""
     kleene_sizes = [64] if quick else [64, 256, 1024]
     fig2_points = [(14, 1)] if quick else [(14, 1), (20, 1), (26, 1), (14, 2), (20, 2)]
     fig3_points = [(14, 2)] if quick else [(14, 2), (20, 2), (26, 2), (14, 3), (20, 3)]
-    micro_sizes = [16] if quick else [16, 48]
-
-    workloads: List[Workload] = []
-    for size in kleene_sizes:
-        workloads.append(
-            Workload(
-                f"kleene_bool_chain_{size}",
-                "kleene",
-                lambda strategy, size=size: _run_kleene(size, strategy),
-            )
+    workloads = [
+        (f"kleene_bool_chain_{size}", "kleene", partial(_run_kleene, size), STRATEGIES)
+        for size in kleene_sizes
+    ]
+    workloads += [
+        (
+            f"fig2_newton_n{nonterminals}_e{examples}",
+            "fig2",
+            partial(_run_fig2, nonterminals, examples),
+            (WORKLIST, DENSE, DENSE_STRATIFIED),
         )
-    for nonterminals, examples in fig2_points:
-        workloads.append(
-            Workload(
-                f"fig2_newton_n{nonterminals}_e{examples}",
-                "fig2",
-                lambda strategy, n=nonterminals, e=examples: _run_fig2(n, e, strategy),
-                strategies=(WORKLIST, DENSE, DENSE_STRATIFIED),
-            )
+        for nonterminals, examples in fig2_points
+    ]
+    workloads += [
+        (
+            f"fig3_abstract_n{nonterminals}_e{examples}",
+            "fig3",
+            partial(_run_fig3, nonterminals, examples),
+            STRATEGIES,
         )
-    for nonterminals, examples in fig3_points:
-        workloads.append(
-            Workload(
-                f"fig3_abstract_n{nonterminals}_e{examples}",
-                "fig3",
-                lambda strategy, n=nonterminals, e=examples: _run_fig3(n, e, strategy),
-            )
-        )
-    for size in micro_sizes:
-        workloads.append(
-            Workload(
-                f"semilinear_micro_{size}",
-                "semilinear",
-                lambda strategy, size=size: _run_semilinear(size, strategy),
-                strategies=(WORKLIST,),
-            )
-        )
-    workloads.append(_solver_workload())
-    for engine_name in ("nayInt", "nayFin", "staged"):
-        workloads.append(_domain_engine_workload(engine_name))
+        for nonterminals, examples in fig3_points
+    ]
     return workloads
 
 
-# ---------------------------------------------------------------------------
-# Measurement
-# ---------------------------------------------------------------------------
-
-
-def _measure(
-    run: Callable[[str], FixpointStats], strategy: str, repetitions: int
-) -> Dict[str, object]:
-    seconds: List[float] = []
-    stats = FixpointStats(strategy)
-    for _ in range(repetitions):
-        clear_cache()  # no strategy may warm the memo tables for the other
-        started = time.perf_counter()
-        stats = run(strategy)
-        seconds.append(time.perf_counter() - started)
-    return {
-        "median_seconds": statistics.median(seconds),
-        "min_seconds": min(seconds),
-        "repetitions": repetitions,
-        "iterations": stats.iterations,
-        "evaluations": stats.evaluations,
-    }
-
-
-def run_perf_suite(
-    repetitions: int = 3,
-    quick: bool = False,
-    workloads: Optional[Sequence[Workload]] = None,
-) -> Dict[str, object]:
-    """Run every workload under every strategy; return the report dict."""
-    chosen = list(workloads) if workloads is not None else default_workloads(quick)
+def _run_fixpoint(repetitions: int, quick: bool) -> Report:
     rows: List[Dict[str, object]] = []
-    for workload in chosen:
-        row: Dict[str, object] = {"name": workload.name, "group": workload.group}
-        for strategy in workload.strategies:
-            row[strategy] = _measure(workload.run, strategy, repetitions)
-        if WORKLIST in row and DENSE in row:
-            worklist_seconds = row[WORKLIST]["median_seconds"]
-            dense_seconds = row[DENSE]["median_seconds"]
-            row["speedup"] = (
-                dense_seconds / worklist_seconds if worklist_seconds > 0 else None
+    for name, group, run, strategies in _fixpoint_workloads(quick):
+        # One untimed run per strategy: its sanity asserts run before any
+        # timing, and it records the iteration/evaluation counts.
+        stats = {}
+        for strategy in strategies:
+            clear_cache()
+            stats[strategy] = run(strategy)
+        seconds = _time_legs(
+            {strategy: partial(run, strategy) for strategy in strategies}, repetitions
+        )
+        row: Dict[str, object] = {"name": name, "group": group}
+        for strategy in strategies:
+            row[strategy] = _cell(
+                seconds[strategy],
+                iterations=stats[strategy].iterations,
+                evaluations=stats[strategy].evaluations,
             )
-            worklist_evals = row[WORKLIST]["evaluations"]
-            dense_evals = row[DENSE]["evaluations"]
-            row["evaluation_ratio"] = (
-                dense_evals / worklist_evals if worklist_evals else None
-            )
+        row["speedup"] = _ratio(
+            _median_seconds(row, DENSE), _median_seconds(row, WORKLIST)
+        )
+        row["evaluation_ratio"] = _ratio(
+            stats[DENSE].evaluations, stats[WORKLIST].evaluations
+        )
         rows.append(row)
 
-    report = {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "suite": "fixpoint",
-        "created_unix": int(time.time()),
-        "repetitions": repetitions,
-        "quick": quick,
-        "workloads": rows,
-        "summary": _summarise(rows),
-        "certification": _certification_rates(quick),
-        "caches": runtime_cache_stats(),
-    }
-    return report
-
-
-def _summarise(rows: Sequence[Dict[str, object]]) -> Dict[str, object]:
-    summary: Dict[str, object] = {}
-    for group in ("kleene", "fig2", "fig3"):
-        speedups = [
-            row["speedup"]
-            for row in rows
-            if row["group"] == group and row.get("speedup") is not None
-        ]
+    summary = _speedup_summary(rows)
+    for group in sorted({row["group"] for row in rows}):
         ratios = [
             row["evaluation_ratio"]
             for row in rows
-            if row["group"] == group and row.get("evaluation_ratio") is not None
+            if row["group"] == group and row["evaluation_ratio"] is not None
         ]
-        if speedups:
-            summary[f"{group}_min_speedup"] = min(speedups)
-            summary[f"{group}_median_speedup"] = statistics.median(speedups)
         if ratios:
             summary[f"{group}_max_evaluation_ratio"] = max(ratios)
-    return summary
-
-
-def render_report(report: Dict[str, object]) -> str:
-    """A compact human-readable table of the report."""
-    lines = [
-        f"{'workload':32s} {'worklist':>10s} {'dense':>10s} {'speedup':>8s} "
-        f"{'evals(w)':>9s} {'evals(d)':>9s}"
-    ]
-    for row in report["workloads"]:
-        worklist = row.get(WORKLIST, {})
-        dense = row.get(DENSE, {})
-
-        def fmt_seconds(cell):
-            return f"{cell['median_seconds']:.4f}" if cell else "-"
-
-        speedup = row.get("speedup")
-        lines.append(
-            f"{row['name']:32s} {fmt_seconds(worklist):>10s} {fmt_seconds(dense):>10s} "
-            f"{(f'{speedup:.1f}x' if speedup else '-'):>8s} "
-            f"{(str(worklist.get('evaluations', '-')) if worklist else '-'):>9s} "
-            f"{(str(dense.get('evaluations', '-')) if dense else '-'):>9s}"
-        )
-    for key, value in sorted(report["summary"].items()):
-        lines.append(f"  {key}: {value:.2f}")
-    for engine_name, cell in sorted(report.get("certification", {}).items()):
-        rate = cell["rate"]
-        lines.append(
-            f"  certified[{engine_name}]: {cell['certified']}/{cell['unrealizable']}"
-            f" ({'-' if rate is None else f'{rate:.0%}'})"
-        )
-    return "\n".join(lines)
-
-
-def write_report(report: Dict[str, object], path: str | Path) -> Path:
-    target = Path(path)
-    target.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return target
+    return {"workloads": rows, "summary": summary, "caches": runtime_cache_stats()}
 
 
 # ---------------------------------------------------------------------------
@@ -504,37 +400,6 @@ def write_report(report: Dict[str, object], path: str | Path) -> Path:
 # replayed through the incremental core and the pre-rewrite reference stack.
 # Replaying identical formula sequences is what makes the recorded speedup an
 # apples-to-apples measure of the solver rewrite alone.
-
-
-class LogicWorkload:
-    """One named query-stream measurement."""
-
-    def __init__(self, name: str, group: str, capture: Callable[[], List[Formula]]):
-        self.name = name
-        self.group = group
-        self.capture = capture
-
-
-def _capture_fig2_stream(
-    points: Sequence[Tuple[int, int]]
-) -> List[Formula]:
-    """The solver queries of the fig2 exact-Newton scaling sweep.
-
-    Every cell runs the full stratified Newton solve (subsumption-based
-    simplification included), with cold caches per cell exactly like the
-    experiment runner; the recorded stream is the concatenation over the
-    ``|N| x |E|`` sweep.
-    """
-    sink: List[Formula] = []
-    with record_queries(sink):
-        for nonterminals, examples in points:
-            clear_cache()
-            entry = scaling_benchmark(nonterminals)
-            solve_lia_gfa(
-                entry.problem.grammar, example_set(examples), stratify=True
-            )
-    clear_cache()
-    return sink
 
 
 def _capture_check_stream(
@@ -610,44 +475,22 @@ def _capture_random_stream(count: int, seed: int = 0) -> List[Formula]:
     return formulas
 
 
-def default_logic_workloads(quick: bool = False) -> List[LogicWorkload]:
-    """The standard logic suite; ``quick`` shrinks it for CI smoke runs."""
-    fig2_points = (
-        [(8, 1), (14, 1), (8, 2), (14, 2), (8, 3), (14, 3)]
-        if quick
-        else [
-            (8, 1), (14, 1), (20, 1), (26, 1), (32, 1),
-            (8, 2), (14, 2), (20, 2), (26, 2), (32, 2),
-            (8, 3), (14, 3), (20, 3), (26, 3), (32, 3),
-        ]
-    )
-    workloads = [
-        LogicWorkload(
-            "fig2_newton_subsumption_sweep",
-            "fig2",
-            lambda points=tuple(fig2_points): _capture_fig2_stream(points),
-        ),
-        LogicWorkload(
-            "random_qflia_200",
-            "random",
-            lambda: _capture_random_stream(200),
-        ),
-    ]
+def _logic_workloads(
+    quick: bool,
+) -> List[Tuple[str, str, Callable[[], List[Formula]]]]:
+    """``(name, group, capture)``; ``quick`` shrinks the suite for CI."""
+    workloads = [("random_qflia_200", "random", partial(_capture_random_stream, 200))]
     table2 = ["array_search_8"] if quick else ["array_search_10", "array_search_13"]
-    for name in table2:
-        workloads.append(
-            LogicWorkload(
-                f"table2_clia_{name}",
-                "table2",
-                lambda name=name: _capture_check_stream(name),
-            )
-        )
+    workloads += [
+        (f"table2_clia_{name}", "table2", partial(_capture_check_stream, name))
+        for name in table2
+    ]
     if not quick:
         workloads.append(
-            LogicWorkload(
+            (
                 "table1_limited_if_ite1",
                 "table1",
-                lambda: _capture_check_stream("ite1", suite="LimitedIf"),
+                partial(_capture_check_stream, "ite1", "LimitedIf"),
             )
         )
     return workloads
@@ -674,128 +517,78 @@ def _replay_reference(stream: Sequence[Formula]) -> List[bool]:
     return [reference_check_sat(formula)[0] for formula in stream]
 
 
-def _measure_logic_workload(
-    workload: LogicWorkload, repetitions: int
-) -> Dict[str, object]:
-    stream = workload.capture()
-    row: Dict[str, object] = {
-        "name": workload.name,
-        "group": workload.group,
-        "queries": len(stream),
+def _rate_vs_committed(
+    rows: Sequence[Dict[str, object]], committed_path: Path
+) -> Optional[float]:
+    """The worst fresh/committed ``incremental.queries_per_second`` ratio.
+
+    Taken over the rows the committed artifact also has; a fresh row with
+    no rate counts as 0, so it fails the gate instead of being skipped.
+    ``None`` when there is nothing to compare against.
+    """
+    if not committed_path.exists():
+        return None
+    committed = {
+        row["name"]: row["incremental"].get("queries_per_second")
+        for row in json.loads(committed_path.read_text())["workloads"]
     }
-
-    # Differential guard before timing: both stacks must agree on every
-    # query, otherwise the bench result would be comparing wrong answers.
-    clear_cache()
-    if _replay_incremental(stream) != _replay_reference(stream):
-        raise ReproError(
-            f"solver verdict mismatch replaying workload {workload.name!r}"
-        )
-
-    incremental_seconds: List[float] = []
-    reference_seconds: List[float] = []
-    stats: Dict[str, int] = {}
-    for _ in range(repetitions):
-        clear_cache()  # each repetition replays the stream from cold caches
-        before = runtime_counters()
-        started = time.perf_counter()
-        _replay_incremental(stream)
-        incremental_seconds.append(time.perf_counter() - started)
-        after = runtime_counters()
-        stats = {key: after[key] - before.get(key, 0) for key in _LOGIC_STAT_KEYS}
-
-        clear_cache()
-        started = time.perf_counter()
-        _replay_reference(stream)
-        reference_seconds.append(time.perf_counter() - started)
-
-    def leg(seconds: List[float]) -> Dict[str, object]:
-        median = statistics.median(seconds)
-        return {
-            "median_seconds": median,
-            "min_seconds": min(seconds),
-            "queries_per_second": (len(stream) / median) if median > 0 else None,
-            "repetitions": repetitions,
-        }
-
-    incremental = leg(incremental_seconds)
-    incremental["stats"] = stats
-    reference = leg(reference_seconds)
-    row["incremental"] = incremental
-    row["reference"] = reference
-    inc_median = incremental["median_seconds"]
-    row["speedup"] = (
-        reference["median_seconds"] / inc_median if inc_median > 0 else None
-    )
-    return row
-
-
-def run_logic_suite(
-    repetitions: int = 3,
-    quick: bool = False,
-    workloads: Optional[Sequence[LogicWorkload]] = None,
-) -> Dict[str, object]:
-    """Replay every logic workload through both solver stacks; report."""
-    chosen = (
-        list(workloads) if workloads is not None else default_logic_workloads(quick)
-    )
-    rows = [_measure_logic_workload(workload, repetitions) for workload in chosen]
-    report = {
-        "schema_version": LOGIC_BENCH_SCHEMA_VERSION,
-        "suite": "logic",
-        "created_unix": int(time.time()),
-        "repetitions": repetitions,
-        "quick": quick,
-        "workloads": rows,
-        "summary": _summarise_logic(rows),
-        "caches": runtime_cache_stats(),
-    }
-    return report
-
-
-def _summarise_logic(rows: Sequence[Dict[str, object]]) -> Dict[str, object]:
-    summary: Dict[str, object] = {}
-    groups = sorted({row["group"] for row in rows})
-    for group in groups:
-        speedups = [
-            row["speedup"]
-            for row in rows
-            if row["group"] == group and row.get("speedup") is not None
-        ]
-        if speedups:
-            summary[f"{group}_min_speedup"] = min(speedups)
-            summary[f"{group}_median_speedup"] = statistics.median(speedups)
-    all_speedups = [row["speedup"] for row in rows if row.get("speedup") is not None]
-    if all_speedups:
-        summary["overall_median_speedup"] = statistics.median(all_speedups)
-    return summary
-
-
-def render_logic_report(report: Dict[str, object]) -> str:
-    """A compact human-readable table of the logic report."""
-    lines = [
-        f"{'workload':34s} {'queries':>7s} {'inc q/s':>9s} {'ref q/s':>9s} "
-        f"{'speedup':>8s} {'lemma':>6s} {'cache':>6s} {'pivots':>7s}"
+    ratios = [
+        (row["incremental"]["queries_per_second"] or 0.0) / committed[row["name"]]
+        for row in rows
+        if committed.get(row["name"])
     ]
-    for row in report["workloads"]:
-        incremental = row["incremental"]
-        reference = row["reference"]
-        stats = incremental.get("stats", {})
+    return min(ratios) if ratios else None
 
-        def rate(cell):
-            value = cell.get("queries_per_second")
-            return f"{value:.0f}" if value else "-"
 
-        speedup = row.get("speedup")
-        lines.append(
-            f"{row['name']:34s} {row['queries']:7d} {rate(incremental):>9s} "
-            f"{rate(reference):>9s} {(f'{speedup:.1f}x' if speedup else '-'):>8s} "
-            f"{stats.get('lemma_hits', 0):6d} {stats.get('theory_cache_hits', 0):6d} "
-            f"{stats.get('simplex_pivots', 0):7d}"
+def _run_logic(repetitions: int, quick: bool) -> Report:
+    rows: List[Dict[str, object]] = []
+    for name, group, capture in _logic_workloads(quick):
+        stream = capture()
+        # Differential guard before timing: both stacks must agree on every
+        # query, otherwise the bench result would be comparing wrong answers.
+        # The incremental replay starts from cold caches, like every timed
+        # one, so its counter delta is the work each timed replay does.
+        clear_cache()
+        before = runtime_counters()
+        verdicts = _replay_incremental(stream)
+        after = runtime_counters()
+        if verdicts != _replay_reference(stream):
+            raise ReproError(f"solver verdict mismatch replaying workload {name!r}")
+        seconds = _time_legs(
+            {
+                "incremental": partial(_replay_incremental, stream),
+                "reference": partial(_replay_reference, stream),
+            },
+            repetitions,
         )
-    for key, value in sorted(report["summary"].items()):
-        lines.append(f"  {key}: {value:.2f}")
-    return "\n".join(lines)
+        incremental = _cell(
+            seconds["incremental"],
+            "queries_per_second",
+            len(stream),
+            stats={key: after[key] - before.get(key, 0) for key in _LOGIC_STAT_KEYS},
+        )
+        reference = _cell(seconds["reference"], "queries_per_second", len(stream))
+        rows.append(
+            {
+                "name": name,
+                "group": group,
+                "queries": len(stream),
+                "incremental": incremental,
+                "reference": reference,
+                "speedup": _ratio(
+                    reference["median_seconds"], incremental["median_seconds"]
+                ),
+            }
+        )
+
+    summary = _speedup_summary(rows)
+    speedups = [row["speedup"] for row in rows if row["speedup"] is not None]
+    if speedups:
+        summary["overall_median_speedup"] = statistics.median(speedups)
+    rate = _rate_vs_committed(rows, Path(SUITES["logic"].path))
+    if rate is not None:
+        summary["gate_rate_vs_committed"] = rate
+    return {"workloads": rows, "summary": summary, "caches": runtime_cache_stats()}
 
 
 # ---------------------------------------------------------------------------
@@ -809,7 +602,7 @@ DOMAINS_EXAMPLE_COUNTS: Tuple[int, ...] = (10, 16, 100, 1000, 5000)
 DOMAINS_QUICK_COUNTS: Tuple[int, ...] = (16, 1000)
 
 #: |E| at or below this bound is the "small example set" regime: the python
-#: leg there is gated against the reference leg (slowdown <= 1.1x).
+#: leg there is gated against the reference leg.
 DOMAINS_SMALL_EXAMPLES = 16
 
 
@@ -846,43 +639,42 @@ def evaluate_slate(depth: int = 16) -> List[Term]:
     return terms
 
 
-def _domains_leg(
-    seconds: List[float], examples_count: int, repetitions: int
+def _domains_row(
+    name: str,
+    group: str,
+    examples_count: int,
+    legs: Dict[str, Callable[[], object]],
+    repetitions: int,
+    **extra: object,
 ) -> Dict[str, object]:
-    median = statistics.median(seconds)
-    return {
-        "median_seconds": median,
-        "min_seconds": min(seconds),
+    """Check that every leg agrees with the first, then time them all."""
+    answers = {}
+    for leg, run in legs.items():
+        clear_cache()
+        answers[leg] = run()
+    first = next(iter(answers.values()))
+    for leg, answer in answers.items():
+        if answer != first:
+            raise ReproError(f"{name}: result mismatch on the {leg} leg")
+
+    seconds = _time_legs(legs, repetitions)
+    row: Dict[str, object] = {
+        "name": name,
+        "group": group,
+        "examples": examples_count,
+        **extra,
+    }
+    for leg in legs:
         # Throughput normalised by |E| alone: how many examples per second
         # this workload processes end-to-end at this |E|.
-        "examples_per_sec": (examples_count / median) if median > 0 else None,
-        "repetitions": repetitions,
-    }
-
-
-def _attach_domain_ratios(row: Dict[str, object]) -> None:
-    def median_of(leg: str) -> Optional[float]:
-        cell = row.get(leg)
-        if isinstance(cell, dict):
-            return cell["median_seconds"]  # type: ignore[return-value]
-        return None
-
-    reference = median_of("reference")
-    python = median_of("python")
-    numpy = median_of("numpy")
-    row["python_vs_reference"] = (reference / python) if reference and python else None
-    row["numpy_vs_reference"] = (reference / numpy) if reference and numpy else None
-    row["numpy_vs_python"] = (python / numpy) if python and numpy else None
-
-
-def _time_leg(run: Callable[[], object], repetitions: int) -> List[float]:
-    seconds = []
-    for _ in range(repetitions):
-        clear_cache()  # cold GFA/simplification caches for every repetition
-        started = time.perf_counter()
-        run()
-        seconds.append(time.perf_counter() - started)
-    return seconds
+        row[leg] = _cell(seconds[leg], "examples_per_sec", examples_count)
+    reference = _median_seconds(row, "reference")
+    python = _median_seconds(row, "python")
+    numpy = _median_seconds(row, "numpy")
+    row["python_vs_reference"] = _ratio(reference, python)
+    row["numpy_vs_reference"] = _ratio(reference, numpy)
+    row["numpy_vs_python"] = _ratio(python, numpy)
+    return row
 
 
 def _measure_evaluate_row(
@@ -891,44 +683,21 @@ def _measure_evaluate_row(
     terms = evaluate_slate()
     examples = large_example_set(examples_count)
 
-    # Differential guard before timing: every leg must produce the same
-    # vector for every slate term (vectors are interned, so == is cheap).
-    expected = [reference_evaluate(term, examples) for term in terms]
-    for backend in legs:
-        if backend == "reference":
-            continue
-        with use_backend(backend):
-            memo: EvalMemo = {}
-            actual = [evaluate(term, examples, memo) for term in terms]
-        if actual != expected:
-            raise ReproError(
-                f"evaluate mismatch on the {backend} backend at |E|={examples_count}"
-            )
-
-    def run_reference() -> None:
-        for term in terms:
-            reference_evaluate(term, examples)
-
-    def run_batched() -> None:
-        memo: EvalMemo = {}
-        for term in terms:
-            evaluate(term, examples, memo)
-
-    row: Dict[str, object] = {
-        "name": f"evaluate_e{examples_count}",
-        "group": "evaluate",
-        "examples": examples_count,
-        "terms": len(terms),
-    }
-    for leg in legs:
+    def run(leg: str) -> list:
         if leg == "reference":
-            seconds = _time_leg(run_reference, repetitions)
-        else:
-            with use_backend(leg):
-                seconds = _time_leg(run_batched, repetitions)
-        row[leg] = _domains_leg(seconds, examples_count, repetitions)
-    _attach_domain_ratios(row)
-    return row
+            return [reference_evaluate(term, examples) for term in terms]
+        with use_backend(leg):
+            memo: EvalMemo = {}
+            return [evaluate(term, examples, memo) for term in terms]
+
+    return _domains_row(
+        f"evaluate_e{examples_count}",
+        "evaluate",
+        examples_count,
+        {leg: partial(run, leg) for leg in legs},
+        repetitions,
+        terms=len(terms),
+    )
 
 
 def _measure_interval_row(
@@ -939,34 +708,21 @@ def _measure_interval_row(
 
     def solve(leg: str):
         if leg == "reference":
-            return solve_abstract_gfa(
+            solution = solve_abstract_gfa(
                 grammar, examples, domain=ReferenceIntervalDomain()
             )
-        with use_backend(leg):
-            return solve_abstract_gfa(grammar, examples, domain="interval")
+        else:
+            with use_backend(leg):
+                solution = solve_abstract_gfa(grammar, examples, domain="interval")
+        return solution.start_value.intervals
 
-    # Differential guard: the fixpoint's start value must agree across legs.
-    clear_cache()
-    baseline = solve("reference").start_value.intervals
-    for leg in legs:
-        if leg == "reference":
-            continue
-        clear_cache()
-        if solve(leg).start_value.intervals != baseline:
-            raise ReproError(
-                f"interval fixpoint mismatch on the {leg} leg at |E|={examples_count}"
-            )
-
-    row: Dict[str, object] = {
-        "name": f"interval_gfa_e{examples_count}",
-        "group": "interval",
-        "examples": examples_count,
-    }
-    for leg in legs:
-        seconds = _time_leg(lambda: solve(leg), repetitions)
-        row[leg] = _domains_leg(seconds, examples_count, repetitions)
-    _attach_domain_ratios(row)
-    return row
+    return _domains_row(
+        f"interval_gfa_e{examples_count}",
+        "interval",
+        examples_count,
+        {leg: partial(solve, leg) for leg in legs},
+        repetitions,
+    )
 
 
 def _measure_powerset_row(
@@ -977,65 +733,33 @@ def _measure_powerset_row(
     # the baseline and the row carries backend legs only.
     benchmark = scaling_benchmark(8)
     examples = example_set(examples_count)
-    backend_legs = [leg for leg in legs if leg != "reference"]
 
     def check(leg: str):
         with use_backend(leg):
             return check_examples_abstract(
                 benchmark.problem,
                 examples,
-                domain=create_domain(
-                    "powerset", cap=64, max_examples=examples_count
-                ),
-            )
+                domain=create_domain("powerset", cap=64, max_examples=examples_count),
+            ).verdict
 
-    clear_cache()
-    baseline_verdict = check(backend_legs[0]).verdict
-    for leg in backend_legs[1:]:
-        clear_cache()
-        if check(leg).verdict is not baseline_verdict:
-            raise ReproError(
-                f"powerset verdict mismatch on the {leg} leg at |E|={examples_count}"
-            )
-
-    row: Dict[str, object] = {
-        "name": f"powerset_e{examples_count}",
-        "group": "powerset",
-        "examples": examples_count,
-    }
-    for leg in backend_legs:
-        seconds = _time_leg(lambda: check(leg), repetitions)
-        row[leg] = _domains_leg(seconds, examples_count, repetitions)
-    _attach_domain_ratios(row)
-    return row
-
-
-def run_domains_suite(
-    repetitions: int = 3,
-    quick: bool = False,
-    example_counts: Optional[Sequence[int]] = None,
-) -> Dict[str, object]:
-    """Sweep the columnar hot paths over |E|; compare legs; report."""
-    counts = (
-        tuple(example_counts)
-        if example_counts is not None
-        else (DOMAINS_QUICK_COUNTS if quick else DOMAINS_EXAMPLE_COUNTS)
+    return _domains_row(
+        f"powerset_e{examples_count}",
+        "powerset",
+        examples_count,
+        {leg: partial(check, leg) for leg in legs if leg != "reference"},
+        repetitions,
     )
+
+
+def _run_domains(repetitions: int, quick: bool) -> Report:
+    """Sweep the columnar hot paths over |E|; compare legs."""
+    counts = DOMAINS_QUICK_COUNTS if quick else DOMAINS_EXAMPLE_COUNTS
     legs = domains_backend_legs()
-    rows: List[Dict[str, object]] = []
-    for measure in (
-        _measure_evaluate_row,
-        _measure_interval_row,
-        _measure_powerset_row,
-    ):
-        for count in counts:
-            rows.append(measure(count, repetitions, legs))
+    measures = (_measure_evaluate_row, _measure_interval_row, _measure_powerset_row)
+    rows = [
+        measure(count, repetitions, legs) for measure in measures for count in counts
+    ]
     return {
-        "schema_version": DOMAINS_BENCH_SCHEMA_VERSION,
-        "suite": "domains",
-        "created_unix": int(time.time()),
-        "repetitions": repetitions,
-        "quick": quick,
         "legs": legs,
         "numpy_available": NUMPY_OPS is not None,
         "workloads": rows,
@@ -1044,14 +768,14 @@ def run_domains_suite(
 
 
 def _summarise_domains(rows: Sequence[Dict[str, object]]) -> Dict[str, object]:
-    """Roll-ups including the two gates CI checks (docs/bench-artifacts.md).
+    """Roll-ups, including the two gate keys.
 
     * ``gate_numpy_speedup_e1000`` — the *minimum* numpy-vs-reference
-      speedup over the ``evaluate`` and ``interval`` groups at |E| = 1000;
-      the acceptance bar is >= 5x.  Absent when numpy is not installed.
+      speedup over the ``evaluate`` and ``interval`` groups at |E| = 1000.
+      Absent when numpy is not installed.
     * ``gate_python_small_e_slowdown`` — the *maximum* python-vs-reference
-      slowdown at |E| <= DOMAINS_SMALL_EXAMPLES over the same groups; the
-      bar is <= 1.1x (the fallback must not regress small example sets).
+      slowdown at |E| <= DOMAINS_SMALL_EXAMPLES over the same groups (the
+      fallback must not regress small example sets).
     """
     summary: Dict[str, object] = {}
     gate_groups = ("evaluate", "interval")
@@ -1085,37 +809,6 @@ def _summarise_domains(rows: Sequence[Dict[str, object]]) -> Dict[str, object]:
     return summary
 
 
-def render_domains_report(report: Dict[str, object]) -> str:
-    """A compact human-readable table of the domains report."""
-    lines = [
-        f"{'workload':22s} {'|E|':>6s} {'ref ex/s':>10s} {'py ex/s':>10s} "
-        f"{'np ex/s':>10s} {'np/ref':>7s} {'np/py':>7s}"
-    ]
-
-    def rate(row: Dict[str, object], leg: str) -> str:
-        cell = row.get(leg)
-        if not isinstance(cell, dict):
-            return "-"
-        value = cell.get("examples_per_sec")
-        return f"{value:.0f}" if value else "-"
-
-    def ratio(row: Dict[str, object], key: str) -> str:
-        value = row.get(key)
-        return f"{value:.1f}x" if value else "-"
-
-    for row in report["workloads"]:
-        lines.append(
-            f"{row['name']:22s} {row['examples']:6d} {rate(row, 'reference'):>10s} "
-            f"{rate(row, 'python'):>10s} {rate(row, 'numpy'):>10s} "
-            f"{ratio(row, 'numpy_vs_reference'):>7s} "
-            f"{ratio(row, 'numpy_vs_python'):>7s}"
-        )
-    for key, value in sorted(report["summary"].items()):
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            lines.append(f"  {key}: {value:.2f}")
-    return "\n".join(lines)
-
-
 # ---------------------------------------------------------------------------
 # The grammar (tree-automaton core) suite
 # ---------------------------------------------------------------------------
@@ -1134,11 +827,6 @@ def render_domains_report(report: Dict[str, object]) -> str:
 #   the size budget, a property of the grammar, divided by each leg's wall
 #   time), and what does bank memoization buy on the repeat rounds the
 #   CEGIS loop actually performs?
-
-#: Version of the BENCH_grammar.json schema (see docs/bench-artifacts.md).
-GRAMMAR_BENCH_SCHEMA_VERSION = 1
-
-DEFAULT_GRAMMAR_BENCH_PATH = "BENCH_grammar.json"
 
 #: ``(length, fanout)`` of the redundant-chain slate for the pruning rows.
 GRAMMAR_PRUNE_SLATE: Tuple[Tuple[int, int], ...] = ((6, 3), (10, 3), (14, 4), (20, 5))
@@ -1168,6 +856,14 @@ def _measure_grammar_prune_row(
     examples = example_set(GRAMMAR_EXAMPLES)
     solver = solve_lia_gfa if leg == "fig2_lia" else solve_abstract_gfa
     _, report = prune_grammar(grammar, examples, mode="oe")
+    modes = {
+        mode: partial(solver, grammar, examples, prune=mode) for mode in ("off", "oe")
+    }
+    evaluations = {}
+    for mode, solve in modes.items():
+        clear_cache()
+        evaluations[mode] = solve().evaluations
+    seconds = _time_legs(modes, repetitions)
     row: Dict[str, object] = {
         "name": f"{leg}_chain_{length}x{fanout}",
         "group": "prune",
@@ -1182,19 +878,11 @@ def _measure_grammar_prune_row(
             "pruned": report.productions_pruned,
         },
     }
-    for mode in ("off", "oe"):
-        solution = solver(grammar, examples, prune=mode)
-        seconds = _time_leg(lambda: solver(grammar, examples, prune=mode), repetitions)
-        row[mode] = {
-            "evaluations": solution.evaluations,
-            "median_seconds": statistics.median(seconds),
-            "seconds": seconds,
-        }
-    off_evals = row["off"]["evaluations"]
-    oe_evals = row["oe"]["evaluations"]
-    row["evaluation_reduction"] = off_evals / max(1, oe_evals)
-    row["wall_ratio_oe_vs_off"] = row["oe"]["median_seconds"] / max(
-        1e-9, row["off"]["median_seconds"]
+    for mode in modes:
+        row[mode] = _cell(seconds[mode], evaluations=evaluations[mode])
+    row["evaluation_reduction"] = evaluations["off"] / max(1, evaluations["oe"])
+    row["wall_ratio_oe_vs_off"] = _ratio(
+        _median_seconds(row, "oe"), _median_seconds(row, "off")
     )
     return row
 
@@ -1208,38 +896,26 @@ def _measure_grammar_enum_row(fanout: int, repetitions: int) -> Dict[str, object
     examples = example_set(GRAMMAR_EXAMPLES)
     max_size, max_terms = 7, 50_000
 
-    def leg(seconds: List[float], candidates: int) -> Dict[str, object]:
-        median = statistics.median(seconds)
-        return {
-            "median_seconds": median,
-            "seconds": seconds,
-            "candidates_per_sec": candidates / max(1e-9, median),
-        }
-
     # The shared numerator: distinct-behavior candidates up to the budget.
     probe = EnumerativeSynthesizer(max_size, max_terms)
     candidates = probe.synthesize(problem, examples).explored_terms
 
-    reference_seconds = _time_leg(
-        lambda: ReferenceSynthesizer(max_size, max_terms).synthesize(
-            problem, examples
-        ),
-        repetitions,
-    )
-    cold_seconds = _time_leg(
-        lambda: EnumerativeSynthesizer(max_size, max_terms).synthesize(
-            problem, examples
-        ),
-        repetitions,
-    )
     # Warm leg: the synthesizer keeps its banks across calls, the shape of
     # repeat CEGIS rounds whose example set did not change.
     warm_synthesizer = EnumerativeSynthesizer(max_size, max_terms)
     warm_synthesizer.synthesize(problem, examples)
-    warm_seconds = _time_leg(
-        lambda: warm_synthesizer.synthesize(problem, examples), repetitions
+    seconds = _time_legs(
+        {
+            "reference": lambda: ReferenceSynthesizer(max_size, max_terms).synthesize(
+                problem, examples
+            ),
+            "memoized": lambda: EnumerativeSynthesizer(max_size, max_terms).synthesize(
+                problem, examples
+            ),
+            "memoized_warm": partial(warm_synthesizer.synthesize, problem, examples),
+        },
+        repetitions,
     )
-
     row: Dict[str, object] = {
         "name": f"enumerate_expr_{fanout}",
         "group": "enumerate",
@@ -1248,50 +924,38 @@ def _measure_grammar_enum_row(fanout: int, repetitions: int) -> Dict[str, object
         "max_size": max_size,
         "examples": GRAMMAR_EXAMPLES,
         "distinct_candidates": candidates,
-        "reference": leg(reference_seconds, candidates),
-        "memoized": leg(cold_seconds, candidates),
-        "memoized_warm": leg(warm_seconds, candidates),
     }
-    row["speedup_cold"] = row["reference"]["median_seconds"] / max(
-        1e-9, row["memoized"]["median_seconds"]
-    )
-    row["speedup_warm"] = row["reference"]["median_seconds"] / max(
-        1e-9, row["memoized_warm"]["median_seconds"]
-    )
+    for leg, samples in seconds.items():
+        row[leg] = _cell(samples, "candidates_per_sec", candidates)
+    reference = _median_seconds(row, "reference")
+    row["speedup_cold"] = _ratio(reference, _median_seconds(row, "memoized"))
+    row["speedup_warm"] = _ratio(reference, _median_seconds(row, "memoized_warm"))
     return row
 
 
-def run_grammar_suite(repetitions: int = 3, quick: bool = False) -> Dict[str, object]:
+def _run_grammar(repetitions: int, quick: bool) -> Report:
     """Measure OE pruning and the memoized enumerator on generated slates."""
     prune_slate = GRAMMAR_PRUNE_QUICK_SLATE if quick else GRAMMAR_PRUNE_SLATE
     enum_slate = GRAMMAR_ENUM_QUICK_SLATE if quick else GRAMMAR_ENUM_SLATE
-    rows: List[Dict[str, object]] = []
-    for length, fanout in prune_slate:
-        for leg in ("fig2_lia", "fig3_abstract"):
-            rows.append(_measure_grammar_prune_row(length, fanout, leg, repetitions))
-    for fanout in enum_slate:
-        rows.append(_measure_grammar_enum_row(fanout, repetitions))
-    return {
-        "schema_version": GRAMMAR_BENCH_SCHEMA_VERSION,
-        "suite": "grammar",
-        "created_unix": int(time.time()),
-        "repetitions": repetitions,
-        "quick": quick,
-        "workloads": rows,
-        "summary": _summarise_grammar(rows),
-    }
+    rows = [
+        _measure_grammar_prune_row(length, fanout, leg, repetitions)
+        for length, fanout in prune_slate
+        for leg in ("fig2_lia", "fig3_abstract")
+    ]
+    rows += [_measure_grammar_enum_row(fanout, repetitions) for fanout in enum_slate]
+    return {"workloads": rows, "summary": _summarise_grammar(rows)}
 
 
 def _summarise_grammar(rows: Sequence[Dict[str, object]]) -> Dict[str, object]:
-    """Roll-ups including the gates CI checks (docs/bench-artifacts.md).
+    """Roll-ups, including the three gate keys.
 
     * ``gate_oe_evaluation_reduction`` — the *best* equation-evaluation
-      reduction over the fig2/fig3 prune rows; the acceptance bar is >= 2x.
+      reduction over the fig2/fig3 prune rows.
     * ``gate_prune_wall_ratio`` — the *worst* oe-vs-off wall-clock ratio
       over prune rows with at least ``GRAMMAR_GATE_MIN_PRODUCTIONS``
-      productions; the (noise-tolerant) bar is <= 1.25.
+      productions (pruning must not cost more than it saves).
     * ``gate_enumerator_speedup`` — the *worst* cold-leg speedup of the
-      memoized enumerator over the reference; the bar is >= 1.0.
+      memoized enumerator over the reference.
     """
     summary: Dict[str, object] = {}
     prune_rows = [row for row in rows if row["group"] == "prune"]
@@ -1325,42 +989,6 @@ def _summarise_grammar(rows: Sequence[Dict[str, object]]) -> Dict[str, object]:
     return summary
 
 
-def render_grammar_report(report: Dict[str, object]) -> str:
-    """A compact human-readable table of the grammar report."""
-    lines = [
-        f"{'workload':28s} {'|P| off':>8s} {'|P| oe':>7s} {'evals off':>10s} "
-        f"{'evals oe':>9s} {'reduction':>9s} {'wall oe/off':>11s}"
-    ]
-    for row in report["workloads"]:
-        if row["group"] != "prune":
-            continue
-        lines.append(
-            f"{row['name']:28s} {row['productions']['before']:8d} "
-            f"{row['productions']['after']:7d} {row['off']['evaluations']:10d} "
-            f"{row['oe']['evaluations']:9d} {row['evaluation_reduction']:8.1f}x "
-            f"{row['wall_ratio_oe_vs_off']:10.2f}x"
-        )
-    lines.append("")
-    lines.append(
-        f"{'workload':28s} {'|P|':>6s} {'cands':>6s} {'ref c/s':>9s} "
-        f"{'memo c/s':>9s} {'cold':>6s} {'warm':>8s}"
-    )
-    for row in report["workloads"]:
-        if row["group"] != "enumerate":
-            continue
-        lines.append(
-            f"{row['name']:28s} {row['productions']:6d} "
-            f"{row['distinct_candidates']:6d} "
-            f"{row['reference']['candidates_per_sec']:9.0f} "
-            f"{row['memoized']['candidates_per_sec']:9.0f} "
-            f"{row['speedup_cold']:5.1f}x {row['speedup_warm']:7.1f}x"
-        )
-    for key, value in sorted(report["summary"].items()):
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            lines.append(f"  {key}: {value:.2f}")
-    return "\n".join(lines)
-
-
 # ---------------------------------------------------------------------------
 # The chaos (solve-fabric resilience) suite
 # ---------------------------------------------------------------------------
@@ -1370,6 +998,9 @@ def render_grammar_report(report: Dict[str, object]) -> str:
 # request tags, so nothing global is armed) and checks that the request
 # still ends in a well-formed wire response, that crashed workers are
 # replaced, and that the circuit breakers trip and recover as specified.
+
+#: The injected failure modes; each has a scenario of the same name.
+CHAOS_FAULT_KINDS = ("crash", "hang", "slow", "corrupt", "oom", "error", "kill9")
 
 
 def _chaos_request(tags=None, timeout=10.0, engine="naySL"):
@@ -1395,13 +1026,35 @@ def _chaos_well_formed(response) -> bool:
     return True
 
 
-def run_chaos_suite(repetitions: int = 1, quick: bool = False) -> Dict[str, object]:
-    """Drive the fault slate through a supervised fabric; return the report.
+def _chaos_scenario(
+    name: str,
+    requests: int,
+    outcomes: List[str],
+    expect: List[str],
+    ok: bool,
+    **counters: object,
+) -> Dict[str, object]:
+    """A row for a scenario driven outside ``run_scenario``; counters default to 0."""
+    return {
+        "name": name,
+        "requests": requests,
+        "outcomes": outcomes,
+        "expect": expect,
+        "ok": bool(ok),
+        "retries": 0,
+        "workers_replaced": 0,
+        "faults_injected": 0,
+        "seconds": 0.0,
+        **counters,
+    }
+
+
+def _run_chaos(repetitions: int, quick: bool) -> Report:
+    """Drive the fault slate through a supervised fabric.
 
     ``repetitions`` scales the clean/self-heal request counts (the faulted
     scenarios are fixed — each exists to prove one failure mode).  ``quick``
-    is accepted for CLI symmetry; the slate is already CI-sized (>= 20
-    requests, >= 4 fault kinds).
+    changes nothing; the slate is already CI-sized.
     """
     import os
     import signal
@@ -1416,6 +1069,7 @@ def run_chaos_suite(repetitions: int = 1, quick: bool = False) -> Dict[str, obje
     )
     from repro.testing.faults import reset_fault_state
 
+    del quick
     reset_fault_state()
     clean_count = max(2, 2 * max(1, repetitions))
     board = BreakerBoard(threshold=2, cooldown_seconds=0.5)
@@ -1541,34 +1195,25 @@ def run_chaos_suite(repetitions: int = 1, quick: bool = False) -> Dict[str, obje
         thread.join(timeout=60.0)
         response = holder.get("response")
         total += 1
+        stats = response.solver_stats if response is not None else {}
         ok = (
             response is not None
             and _chaos_well_formed(response)
             and response.verdict == "unrealizable"
-            and response.solver_stats.get("retries", 0) >= 1
+            and stats.get("retries", 0) >= 1
         )
         well_formed += 1 if response is not None and _chaos_well_formed(response) else 0
         scenarios.append(
-            {
-                "name": "kill9",
-                "requests": 1,
-                "outcomes": [response.verdict if response is not None else "lost"],
-                "expect": ["unrealizable"],
-                "ok": bool(ok),
-                "killed_pid": killed_pid,
-                "retries": (
-                    response.solver_stats.get("retries", 0)
-                    if response is not None
-                    else 0
-                ),
-                "workers_replaced": (
-                    response.solver_stats.get("workers_replaced", 0)
-                    if response is not None
-                    else 0
-                ),
-                "faults_injected": 0,
-                "seconds": 0.0,
-            }
+            _chaos_scenario(
+                "kill9",
+                1,
+                [response.verdict if response is not None else "lost"],
+                ["unrealizable"],
+                ok,
+                killed_pid=killed_pid,
+                retries=stats.get("retries", 0),
+                workers_replaced=stats.get("workers_replaced", 0),
+            )
         )
         board.for_engine("naySL").record_success()
 
@@ -1588,17 +1233,14 @@ def run_chaos_suite(repetitions: int = 1, quick: bool = False) -> Dict[str, obje
         total += 1
         well_formed += 1 if _chaos_well_formed(response) else 0
         scenarios.append(
-            {
-                "name": "hang",
-                "requests": 1,
-                "outcomes": [hang_outcome],
-                "expect": ["timeout"],
-                "ok": hang_outcome == "timeout",
-                "retries": 0,
-                "workers_replaced": 1,
-                "faults_injected": 0,
-                "seconds": 0.0,
-            }
+            _chaos_scenario(
+                "hang",
+                1,
+                [hang_outcome],
+                ["timeout"],
+                hang_outcome == "timeout",
+                workers_replaced=1,
+            )
         )
         board.for_engine("naySL").record_success()
 
@@ -1628,26 +1270,21 @@ def run_chaos_suite(repetitions: int = 1, quick: bool = False) -> Dict[str, obje
             well_formed += 1 if _chaos_well_formed(probe) else 0
             recovered = breaker_board.for_engine("naySL").snapshot()
             scenarios.append(
-                {
-                    "name": "breaker",
-                    "requests": 4,
-                    "outcomes": [refused.verdict, probe.verdict],
-                    "expect": ["error", "unrealizable"],
-                    "ok": (
-                        tripped["state"] == "open"
-                        and tripped["trips"] >= 1
-                        and refused.verdict == "error"
-                        and "circuit breaker open" in (refused.error or "")
-                        and probe.verdict == "unrealizable"
-                        and recovered["state"] == "closed"
-                    ),
-                    "tripped": tripped,
-                    "recovered": recovered,
-                    "retries": 0,
-                    "workers_replaced": 2,
-                    "faults_injected": 0,
-                    "seconds": 0.0,
-                }
+                _chaos_scenario(
+                    "breaker",
+                    4,
+                    [refused.verdict, probe.verdict],
+                    ["error", "unrealizable"],
+                    tripped["state"] == "open"
+                    and tripped["trips"] >= 1
+                    and refused.verdict == "error"
+                    and "circuit breaker open" in (refused.error or "")
+                    and probe.verdict == "unrealizable"
+                    and recovered["state"] == "closed",
+                    tripped=tripped,
+                    recovered=recovered,
+                    workers_replaced=2,
+                )
             )
         finally:
             breaker_fabric.shutdown()
@@ -1669,13 +1306,9 @@ def run_chaos_suite(repetitions: int = 1, quick: bool = False) -> Dict[str, obje
     finally:
         fabric.shutdown()
 
-    report = {
-        "schema_version": CHAOS_BENCH_SCHEMA_VERSION,
-        "suite": "chaos",
-        "created_unix": int(time.time()),
-        "repetitions": repetitions,
-        "quick": quick,
-        "fault_kinds": ["crash", "hang", "slow", "corrupt", "oom", "error", "kill9"],
+    names = {row["name"] for row in scenarios}
+    return {
+        "fault_kinds": list(CHAOS_FAULT_KINDS),
         "scenarios": scenarios,
         "fabric_stats": fabric_stats,
         "breakers": board.snapshot(),
@@ -1684,6 +1317,7 @@ def run_chaos_suite(repetitions: int = 1, quick: bool = False) -> Dict[str, obje
             "well_formed": well_formed,
             "all_well_formed": well_formed == total,
             "all_scenarios_ok": all(row["ok"] for row in scenarios),
+            "fault_kinds": sum(1 for kind in CHAOS_FAULT_KINDS if kind in names),
             "retries": sum(row.get("retries", 0) for row in scenarios),
             "workers_replaced": fabric_stats.get("workers_replaced", 0),
             "faults_injected": sum(row.get("faults_injected", 0) for row in scenarios),
@@ -1695,32 +1329,6 @@ def run_chaos_suite(repetitions: int = 1, quick: bool = False) -> Dict[str, obje
             "total_seconds": round(time.monotonic() - started, 4),
         },
     }
-    return report
-
-
-def render_chaos_report(report: Dict[str, object]) -> str:
-    """A compact human-readable table of the chaos report."""
-    lines = [f"{'scenario':12s} {'reqs':>5s} {'ok':>4s} {'retries':>8s} "
-             f"{'replaced':>9s} {'outcomes'}"]
-    for row in report["scenarios"]:
-        outcomes = ",".join(sorted(set(row["outcomes"]))) or "-"
-        lines.append(
-            f"{row['name']:12s} {row['requests']:5d} "
-            f"{('yes' if row['ok'] else 'NO'):>4s} {row.get('retries', 0):8d} "
-            f"{row.get('workers_replaced', 0):9d} {outcomes}"
-        )
-    summary = report["summary"]
-    lines.append(
-        f"  requests: {summary['requests']}  well-formed: {summary['well_formed']}"
-        f"  retries: {summary['retries']}"
-        f"  workers_replaced: {summary['workers_replaced']}"
-        f"  breaker_trips: {summary['breaker_trips']}"
-    )
-    lines.append(
-        "  all scenarios ok: "
-        + ("yes" if summary["all_scenarios_ok"] else "NO")
-    )
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -1830,21 +1438,21 @@ def _serve_drive(
     return results
 
 
-def _serve_leg(name: str, unique: int, rows: List[Dict[str, object]]) -> Dict[str, object]:
-    """Aggregate one driven leg into a BENCH_serve.json row."""
+def _serve_leg(
+    name: str, unique: int, rows: List[Dict[str, object]], wall: float
+) -> Dict[str, object]:
+    """Aggregate one driven leg, ``wall`` seconds long, into a row."""
     latencies = [row["seconds"] for row in rows]
-    seconds = sum(latencies)
-    wall = max(latencies) if latencies else 0.0  # placeholder; caller overwrites
     hits = sum(1 for row in rows if row["store_hit"])
     return {
         "name": name,
         "requests": len(rows),
         "unique": unique,
         "seconds": round(wall, 4),
-        "requests_per_sec": 0.0,
+        "requests_per_sec": round(len(rows) / wall, 3) if wall else 0.0,
         "p50_ms": round(_serve_percentile(latencies, 0.50) * 1000, 3),
         "p99_ms": round(_serve_percentile(latencies, 0.99) * 1000, 3),
-        "mean_ms": round((seconds / len(rows)) * 1000, 3) if rows else 0.0,
+        "mean_ms": round((sum(latencies) / len(rows)) * 1000, 3) if rows else 0.0,
         "store_hits": hits,
         "hit_ratio": round(hits / len(rows), 4) if rows else 0.0,
         "schema_valid": sum(1 for row in rows if row["schema_valid"]),
@@ -1852,17 +1460,13 @@ def _serve_leg(name: str, unique: int, rows: List[Dict[str, object]]) -> Dict[st
     }
 
 
-def run_serve_suite(
-    repetitions: int = 3,
-    quick: bool = False,
-    clients: Optional[int] = None,
-) -> Dict[str, object]:
+def _run_serve(repetitions: int, quick: bool) -> Report:
     """Concurrent-client load over the real HTTP server + persistent store.
 
     Spins up the production stack in-process — :func:`make_server` backed by
     a supervised solve fabric and a fresh
     :class:`~repro.engine.store.ResultStore` in a temp directory — and
-    drives ``clients`` concurrent threads through three request streams:
+    drives concurrent client threads through three request streams:
 
     * **cold** — every slate benchmark exactly once: all misses, every
       request pays for a real solve (the store is empty);
@@ -1872,12 +1476,10 @@ def run_serve_suite(
       so distinct fingerprints but identical solve cost), the realistic
       hit-ratio regime.
 
-    The headline gate is ``summary["gate_warm_vs_cold_throughput"]`` —
-    warm requests/sec over cold requests/sec, which the committed artifact
-    must show **>= 5x** (CI re-checks a fresh quick run against a
-    noise-tolerant 3x bar).  Ratios, not absolute rates, are gated: wall
-    clocks vary across machines, the cold/warm split on the same machine in
-    the same run does not.
+    The headline gate key is ``gate_warm_vs_cold_throughput`` — warm
+    requests/sec over cold requests/sec.  Ratios, not absolute rates, are
+    gated: wall clocks vary across machines, the cold/warm split on the same
+    machine in the same run does not.
     """
     import os
     import shutil
@@ -1896,11 +1498,10 @@ def run_serve_suite(
         RetryPolicy,
         Supervisor,
         install_fabric,
-        shutdown_fabric,
     )
 
     slate = list(SERVE_BENCH_SLATE[:4] if quick else SERVE_BENCH_SLATE)
-    clients = clients if clients is not None else (4 if quick else 6)
+    clients = 4 if quick else 6
     warm_repeats = max(2, repetitions) if quick else max(4, 2 * repetitions)
     workers = 2 if quick else 3
 
@@ -1942,10 +1543,7 @@ def run_serve_suite(
         def timed_leg(name: str, payloads, unique: int) -> Dict[str, object]:
             leg_started = time.perf_counter()
             rows = _serve_drive(server, payloads, clients)
-            wall = time.perf_counter() - leg_started
-            leg = _serve_leg(name, unique, rows)
-            leg["seconds"] = round(wall, 4)
-            leg["requests_per_sec"] = round(len(rows) / wall, 3) if wall else 0.0
+            leg = _serve_leg(name, unique, rows, time.perf_counter() - leg_started)
             legs.append(leg)
             return leg
 
@@ -1996,11 +1594,6 @@ def run_serve_suite(
     cold_rps = cold["requests_per_sec"]
     warm_rps = warm["requests_per_sec"]
     return {
-        "schema_version": SERVE_BENCH_SCHEMA_VERSION,
-        "suite": "serve",
-        "created_unix": int(time.time()),
-        "repetitions": repetitions,
-        "quick": quick,
         "clients": clients,
         "workers": workers,
         "slate": slate,
@@ -2027,29 +1620,160 @@ def run_serve_suite(
     }
 
 
-def render_serve_report(report: Dict[str, object]) -> str:
-    """A compact human-readable table of the serve load report."""
-    lines = [
-        f"{'leg':12s} {'reqs':>5s} {'uniq':>5s} {'rps':>8s} "
-        f"{'p50ms':>8s} {'p99ms':>8s} {'hits':>5s} {'ratio':>6s}"
-    ]
-    for leg in report["legs"]:
-        lines.append(
-            f"{leg['name']:12s} {leg['requests']:5d} {leg['unique']:5d} "
-            f"{leg['requests_per_sec']:8.1f} {leg['p50_ms']:8.1f} "
-            f"{leg['p99_ms']:8.1f} {leg['store_hits']:5d} {leg['hit_ratio']:6.2f}"
-        )
-    summary = report["summary"]
-    gate = summary["gate_warm_vs_cold_throughput"]
-    lines.append(
-        f"  cold: {summary['cold_rps']:.1f} req/s   warm: "
-        f"{summary['warm_rps']:.1f} req/s   warm/cold: "
-        + (f"{gate:.1f}x" if gate is not None else "n/a")
-    )
-    lines.append(
-        "  all schema-valid: "
-        + ("yes" if summary["all_schema_valid"] else "NO")
-        + "   all definitive: "
-        + ("yes" if summary["all_definitive"] else "NO")
-    )
-    return "\n".join(lines)
+# ---------------------------------------------------------------------------
+# The suite table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Suite:
+    """One ``repro-nay bench --suite`` entry."""
+
+    #: ``(repetitions, quick) -> {rows key: rows, "summary": ..., ...}``.
+    run: Callable[[int, bool], Report]
+    #: The artifact a run writes by default, relative to the working
+    #: directory (the repo root when run from a checkout).
+    path: str
+    #: Version of the artifact's schema (see docs/bench-artifacts.md).
+    schema_version: int
+    #: The report key holding the rows :func:`render` tabulates.
+    rows: str
+    #: ``(header, dotted path into a row, format template)`` per column.
+    columns: Tuple[Tuple[str, str, str], ...]
+    gates: Tuple[Gate, ...] = ()
+
+
+#: The suites ``repro-nay bench --suite all`` runs (chaos and serve drive
+#: worker processes and a server; run them explicitly).
+TIMING_SUITES = ("fixpoint", "logic", "domains", "grammar")
+
+#: Every suite, with its gates.  Quick bars are looser than full ones where
+#: a quick run's few, short samples on a shared CI runner are noisy.
+SUITES: Dict[str, Suite] = {
+    # Schema 3 dropped the ``certification`` section and the single-leg
+    # workloads (semilinear micro, solve end-to-end, domain engines).
+    "fixpoint": Suite(
+        _run_fixpoint,
+        "BENCH_fixpoint.json",
+        3,
+        "workloads",
+        (
+            ("workload", "name", "{}"),
+            ("worklist", "worklist.median_seconds", "{:.4f}"),
+            ("dense", "dense.median_seconds", "{:.4f}"),
+            ("speedup", "speedup", "{:.1f}x"),
+            ("evals(w)", "worklist.evaluations", "{}"),
+            ("evals(d)", "dense.evaluations", "{}"),
+        ),
+    ),
+    "logic": Suite(
+        _run_logic,
+        "BENCH_logic.json",
+        1,
+        "workloads",
+        (
+            ("workload", "name", "{}"),
+            ("queries", "queries", "{}"),
+            ("inc q/s", "incremental.queries_per_second", "{:.0f}"),
+            ("ref q/s", "reference.queries_per_second", "{:.0f}"),
+            ("speedup", "speedup", "{:.1f}x"),
+            ("lemma", "incremental.stats.lemma_hits", "{}"),
+            ("cache", "incremental.stats.theory_cache_hits", "{}"),
+            ("pivots", "incremental.stats.simplex_pivots", "{}"),
+        ),
+        # Every fresh row the committed artifact also has keeps at least
+        # half the committed incremental rate.
+        (Gate("gate_rate_vs_committed", ">=", quick=0.5),),
+    ),
+    "domains": Suite(
+        _run_domains,
+        "BENCH_domains.json",
+        1,
+        "workloads",
+        (
+            ("workload", "name", "{}"),
+            ("|E|", "examples", "{}"),
+            ("ref ex/s", "reference.examples_per_sec", "{:.0f}"),
+            ("py ex/s", "python.examples_per_sec", "{:.0f}"),
+            ("np ex/s", "numpy.examples_per_sec", "{:.0f}"),
+            ("np/ref", "numpy_vs_reference", "{:.1f}x"),
+            ("np/py", "numpy_vs_python", "{:.1f}x"),
+        ),
+        (
+            Gate("gate_numpy_speedup_e1000", ">=", full=5.0, quick=3.0),
+            Gate("gate_python_small_e_slowdown", "<=", full=1.1, quick=1.3),
+        ),
+    ),
+    "grammar": Suite(
+        _run_grammar,
+        "BENCH_grammar.json",
+        1,
+        "workloads",
+        (
+            ("workload", "name", "{}"),
+            ("|P| off", "productions.before", "{}"),
+            ("|P| oe", "productions.after", "{}"),
+            ("evals off", "off.evaluations", "{}"),
+            ("evals oe", "oe.evaluations", "{}"),
+            ("reduction", "evaluation_reduction", "{:.1f}x"),
+            ("wall oe/off", "wall_ratio_oe_vs_off", "{:.2f}x"),
+            ("cands", "distinct_candidates", "{}"),
+            ("memo c/s", "memoized.candidates_per_sec", "{:.0f}"),
+            ("cold", "speedup_cold", "{:.1f}x"),
+            ("warm", "speedup_warm", "{:.1f}x"),
+        ),
+        (
+            Gate("gate_oe_evaluation_reduction", ">=", full=2.0, quick=2.0),
+            Gate("gate_enumerator_speedup", ">=", full=1.0),
+            Gate("gate_prune_wall_ratio", "<=", quick=1.25),
+        ),
+    ),
+    "chaos": Suite(
+        _run_chaos,
+        "BENCH_chaos.json",
+        1,
+        "scenarios",
+        (
+            ("scenario", "name", "{}"),
+            ("reqs", "requests", "{}"),
+            ("ok", "ok", "{}"),
+            ("retries", "retries", "{}"),
+            ("replaced", "workers_replaced", "{}"),
+            ("outcomes", "outcomes", "{}"),
+        ),
+        tuple(
+            Gate(key, op, full=bar, quick=bar)
+            for key, op, bar in (
+                ("requests", ">=", 20),
+                ("all_well_formed", "is", True),
+                ("all_scenarios_ok", "is", True),
+                ("fault_kinds", ">=", 4),
+                ("retries", ">=", 1),
+                ("workers_replaced", ">=", 1),
+                ("breaker_trips", ">=", 1),
+            )
+        ),
+    ),
+    "serve": Suite(
+        _run_serve,
+        "BENCH_serve.json",
+        1,
+        "legs",
+        (
+            ("leg", "name", "{}"),
+            ("reqs", "requests", "{}"),
+            ("uniq", "unique", "{}"),
+            ("rps", "requests_per_sec", "{:.1f}"),
+            ("p50ms", "p50_ms", "{:.1f}"),
+            ("p99ms", "p99_ms", "{:.1f}"),
+            ("hits", "store_hits", "{}"),
+            ("ratio", "hit_ratio", "{:.2f}"),
+        ),
+        (
+            Gate("gate_warm_vs_cold_throughput", ">=", full=5.0, quick=3.0),
+            Gate("all_schema_valid", "is", full=True, quick=True),
+            Gate("all_definitive", "is", full=True),
+            Gate("warm_hit_ratio", ">=", full=1.0, quick=1.0),
+        ),
+    ),
+}
