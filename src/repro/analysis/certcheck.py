@@ -620,7 +620,7 @@ def semilinear_comparison(
     refuter.  Every genuinely realizable ``b`` survives (the refuter is
     one-sided), so the result over-approximates the exact transfer while
     staying strictly below the hull on problems like ``2a+3b+4c == 1``.
-    Shared by the checker and the builder's coarse CLIA interpretation.
+    Shared by the checker and the CLIA certificate builder.
     """
     hull = interval_comparison(
         name,
@@ -676,8 +676,10 @@ def _semilinear_transfer(
     Integer operators use the exact semiring operations; comparisons use the
     refutation-pruned hull of :func:`semilinear_comparison`, which
     over-approximates the exact Boolean transfer — enough for inductiveness,
-    since claimed Boolean values from the coarse re-solve contain this
-    transfer by construction (the builder runs the identical function).
+    since the builder's claimed Boolean values are a fixpoint under this
+    very transfer (it runs the identical function, either in a coarse
+    re-solve or to confirm that a coarse solve would end on the exact
+    values).
     """
     symbol = production.symbol
     name = symbol.name

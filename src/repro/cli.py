@@ -31,8 +31,9 @@ Subcommands:
 * ``experiments <name>``    — shorthand for ``python -m repro.experiments``;
 * ``bench``                 — run a perf harness (``--suite fixpoint``,
   ``logic``, ``domains``, ``grammar``, ``chaos``, ``serve`` or ``all``),
-  write its versioned ``BENCH_*.json`` artifact and check the suite's
-  gates (:data:`repro.perf.SUITES`); exits 1 when a gate fails.
+  write its versioned ``BENCH_*.json`` artifact (a ``--quick`` run writes
+  only to ``--out``) and check the suite's gates
+  (:data:`repro.perf.SUITES`); exits 1 when a gate fails.
 
 ``solve``/``check``/``batch``/``serve`` accept ``--store PATH`` (or the
 ``REPRO_NAY_STORE`` environment variable) to name a persistent result
@@ -346,8 +347,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     bench.add_argument(
         "--out",
         default=None,
-        help="artifact path (defaults to the suite's BENCH_*.json; '-' to "
-        "skip writing; only valid for a single suite)",
+        help="artifact path (defaults to the suite's BENCH_*.json for a full "
+        "run and to no file for a --quick run; '-' to skip writing; only "
+        "valid for a single suite)",
     )
 
     arguments = parser.parse_args(argv)
@@ -449,8 +451,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for name in names:
             report = perf.run_suite(name, arguments.repeat, arguments.quick)
             print(perf.render(report))
-            if arguments.out != "-":
-                path = arguments.out or perf.SUITES[name].path
+            # A quick run never lands on the committed full artifact: it
+            # writes only where --out names.
+            path = arguments.out or (None if arguments.quick else perf.SUITES[name].path)
+            if path not in (None, "-"):
                 print(f"wrote {perf.write_report(report, path)}")
             for passed, line in perf.check_gates(report):
                 print(line)

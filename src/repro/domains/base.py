@@ -284,10 +284,27 @@ def masked_ite_join(
     """The generic ``IfThenElse#`` shape: join ``select(guard)`` over all guards.
 
     Domains whose values support a per-component ``select(mask)`` (boxes,
-    interval-congruence products) share this loop; the powerset domain
-    enumerates concrete triples instead.
+    interval-congruence products) share this transfer; the powerset domain
+    enumerates concrete triples instead.  As ``select`` and ``join`` act per
+    component, component ``i`` of the result depends only on whether some
+    guard is true at ``i`` and whether some guard is false there.  So two
+    masks OR-ed from the guards' packed bits stand in for the guards:
+    ``select(some_true)`` takes the then-value wherever a guard does, and
+    joining ``select(then_only)`` adds the else-value where guards disagree
+    — at most two selects and one join for any number of guards.
     """
-    result = bottom
-    for guard in guards:
-        result = join(result, select(guard))
+    if guards.is_empty():
+        return bottom
+    dimension = guards.dimension
+    full = (1 << dimension) - 1
+    some_true = 0
+    some_false = 0
+    for guard in guards.vectors:
+        bits = guard.bits
+        some_true |= bits
+        some_false |= full & ~bits
+    result = select(BoolVector.from_packed(some_true, dimension))
+    then_only = some_true & ~some_false
+    if then_only != some_true:
+        result = join(result, select(BoolVector.from_packed(then_only, dimension)))
     return result

@@ -18,7 +18,7 @@ result.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Union
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 from repro.domains.boolvectors import BoolVectorSet
 from repro.domains.semilinear import LinearSet, SemiLinearSet
@@ -64,6 +64,13 @@ class CliaInterpretation:
     def __init__(self, examples: ExampleSet):
         self.examples = examples
         self.dimension = len(examples)
+        #: Every comparison answered by :meth:`comparison` on non-empty
+        #: arguments, as ``(name, left, right) -> result``.  The certificate
+        #: builder replays it against the checker's coarse transfer to decide
+        #: whether this solve's values can be certified as they are.
+        self.comparisons: Dict[
+            Tuple[str, SemiLinearSet, SemiLinearSet], BoolVectorSet
+        ] = {}
 
     # -- leaf symbols ---------------------------------------------------------
 
@@ -149,7 +156,9 @@ class CliaInterpretation:
             ]
             if context.check(assumptions).is_sat:
                 achievable.append(candidate)
-        return BoolVectorSet(achievable, self.dimension)
+        result = BoolVectorSet(achievable, self.dimension)
+        self.comparisons[(name, left, right)] = result
+        return result
 
     # -- generic dispatch -----------------------------------------------------
 

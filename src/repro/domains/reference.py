@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Set, Tuple
 
-from repro.domains.base import ExampleVectorDomain, masked_ite_join
+from repro.domains.base import ExampleVectorDomain
 from repro.domains.boolvectors import BoolVectorSet
 from repro.domains.interval import _collect_thresholds
 from repro.domains.numeric import Interval
@@ -208,12 +208,10 @@ class ReferenceIntervalDomain(ExampleVectorDomain):
         else_value: ReferenceBox,
         dimension: int,
     ) -> ReferenceBox:
-        return masked_ite_join(
-            guards,
-            lambda guard: then_value.select(guard, else_value),
-            ReferenceBox.bottom(dimension),
-            lambda left, right: left.join(right),
-        )
+        result = ReferenceBox.bottom(dimension)
+        for guard in guards:
+            result = result.join(then_value.select(guard, else_value))
+        return result
 
     def compare(
         self, name: str, left: ReferenceBox, right: ReferenceBox, dimension: int

@@ -1085,6 +1085,9 @@ def _run_chaos(repetitions: int, quick: bool) -> Report:
     well_formed = 0
     started = time.monotonic()
 
+    def replaced(supervisor: Supervisor) -> int:
+        return supervisor.stats.snapshot().get("workers_replaced", 0)
+
     def run_scenario(name, requests, expect):
         nonlocal total, well_formed
         outcomes: List[str] = []
@@ -1222,6 +1225,7 @@ def _run_chaos(repetitions: int, quick: bool) -> Report:
         # caller records the same timeout response Supervisor.solve would
         # produce at the hard guard.
         hang_request = _chaos_request({"faults": "hang@*"}, timeout=5.0)
+        replaced_before = replaced(fabric)
         job = fabric.submit(hang_request, soft_timeout=5.0)
         try:
             response = fabric.harvest(job, timeout=1.5)
@@ -1239,7 +1243,7 @@ def _run_chaos(repetitions: int, quick: bool) -> Report:
                 [hang_outcome],
                 ["timeout"],
                 hang_outcome == "timeout",
-                workers_replaced=1,
+                workers_replaced=replaced(fabric) - replaced_before,
             )
         )
         board.for_engine("naySL").record_success()
@@ -1256,6 +1260,7 @@ def _run_chaos(repetitions: int, quick: bool) -> Report:
             name="chaos-breaker",
         )
         try:
+            replaced_before = replaced(breaker_fabric)
             for _ in range(2):
                 breaker_fabric.solve(_chaos_request({"faults": "crash@*"}))
                 total += 1
@@ -1283,7 +1288,7 @@ def _run_chaos(repetitions: int, quick: bool) -> Report:
                     and recovered["state"] == "closed",
                     tripped=tripped,
                     recovered=recovered,
-                    workers_replaced=2,
+                    workers_replaced=replaced(breaker_fabric) - replaced_before,
                 )
             )
         finally:
@@ -1631,8 +1636,9 @@ class Suite:
 
     #: ``(repetitions, quick) -> {rows key: rows, "summary": ..., ...}``.
     run: Callable[[int, bool], Report]
-    #: The artifact a run writes by default, relative to the working
-    #: directory (the repo root when run from a checkout).
+    #: The artifact a full run writes by default, relative to the working
+    #: directory (the repo root when run from a checkout).  A quick run
+    #: writes only where ``--out`` names.
     path: str
     #: Version of the artifact's schema (see docs/bench-artifacts.md).
     schema_version: int

@@ -10,15 +10,17 @@ trust boundary, so they are free to use the solver:
 * the semi-linear builders extract explicit non-negative-combination
   subsumption justifications with small ILP queries, which the checker then
   re-verifies with pure integer arithmetic;
-* the CLIA builder re-solves the fixpoint under a *coarse* comparison
+* the CLIA builder certifies the fixpoint under a *coarse* comparison
   interpretation (the checker's refutation-pruned interval hulls instead of
   per-vector solver feasibility queries) so that the claimed Boolean values
-  contain the checker's solver-free comparison transfer.
+  contain the checker's solver-free comparison transfer.  It reuses the
+  engine's exact fixpoint when the coarse transfer agrees with every
+  comparison the exact solve answered, and re-solves otherwise.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis.certcheck import (
     CERTIFICATE_FORMAT,
@@ -41,6 +43,9 @@ from repro.logic.terms import LinearExpression
 from repro.semantics.examples import ExampleSet
 from repro.sygus.problem import SyGuSProblem
 from repro.utils.vectors import IntVector
+
+if TYPE_CHECKING:  # import cycle guard: repro.unreal.clia imports this module
+    from repro.unreal.clia import CliaGfaSolution
 
 
 def _base_payload(kind: str, examples: Optional[ExampleSet]) -> Dict[str, object]:
@@ -244,24 +249,45 @@ def build_lia_certificate(
 
 
 def build_clia_certificate(
-    problem: SyGuSProblem, examples: ExampleSet
+    problem: SyGuSProblem,
+    examples: ExampleSet,
+    exact: Optional[CliaGfaSolution] = None,
+    comparisons: Optional[
+        Mapping[Tuple[str, SemiLinearSet, SemiLinearSet], BoolVectorSet]
+    ] = None,
 ) -> Optional[Dict[str, object]]:
     """Certificate for the exact CLIA engine.
 
-    The engine's own Boolean values come from per-vector feasibility queries
-    the checker cannot replay, so the builder re-solves the fixpoint under
-    the *coarse* interval-hull comparison — a sound over-approximation of
-    the exact abstraction whose transfers the checker can recompute exactly.
-    Unrealizability of the coarser fixpoint still refutes the problem.
+    The checker recomputes comparisons with the *coarse* refutation-pruned
+    hull transfer (:func:`semilinear_comparison`), not with the engine's
+    per-vector feasibility queries, so the certified values are those of
+    the fixpoint under the coarse transfer — a sound over-approximation of
+    the exact abstraction; its unrealizability still refutes the problem.
+
+    ``exact`` is the engine's own solution, passed only when it was solved
+    with this builder's settings (stratified, worklist, prune off), and
+    ``comparisons`` is its interpretation's record of every comparison it
+    answered.  When the coarse transfer returns the recorded result for
+    every one of them, a coarse solve would replay the exact one step for
+    step and end on the same values, so those values are certified as they
+    are.  Otherwise the builder re-solves under the coarse transfer.
     """
     if problem.grammar.start not in productive_nonterminals(problem.grammar):
         return build_unproductive_certificate(problem)
+    dimension = len(examples)
     try:
-        from repro.unreal.clia import solve_clia_gfa
+        solution = exact
+        if solution is None or comparisons is None or not all(
+            semilinear_comparison(name, left, right, dimension) == result
+            for (name, left, right), result in comparisons.items()
+        ):
+            from repro.unreal.clia import solve_clia_gfa
 
-        solution = solve_clia_gfa(
-            problem.grammar, examples, interpretation=_CoarseCliaInterpretation(examples)
-        )
+            solution = solve_clia_gfa(
+                problem.grammar,
+                examples,
+                interpretation=_CoarseCliaInterpretation(examples),
+            )
     except Exception:  # noqa: BLE001 - coarse re-solve may diverge: no cert
         return None
     return _semilinear_payload(

@@ -83,9 +83,11 @@ def solve_clia_gfa(
     """SolveMutual (§6.4): exact abstraction of a CLIA grammar on examples.
 
     ``interpretation`` substitutes the production functions — the default is
-    the exact :class:`CliaInterpretation`; the certificate builder passes a
-    coarser comparison interpretation whose transfers the independent proof
-    checker can replay without a solver.
+    the exact :class:`CliaInterpretation`; :func:`check_clia_examples`
+    passes its own to keep the comparison record, and the certificate
+    builder, when it must re-solve, passes a coarser comparison
+    interpretation whose transfers the independent proof checker can replay
+    without a solver.
 
     ``prune`` applies the tree-automaton grammar reduction before any
     equations are built (see :func:`repro.grammar.automaton.prune_grammar`);
@@ -247,8 +249,14 @@ def check_clia_examples(
             examples=examples,
             certificate=build_unproductive_certificate(problem),
         )
+    interpretation = CliaInterpretation(examples)
     gfa = solve_clia_gfa(
-        problem.grammar, examples, stratify=stratify, strategy=strategy, prune=prune
+        problem.grammar,
+        examples,
+        stratify=stratify,
+        strategy=strategy,
+        interpretation=interpretation,
+        prune=prune,
     )
     result = check_unrealizable(
         gfa.start_value,
@@ -258,10 +266,18 @@ def check_clia_examples(
         abstraction_size=gfa.start_value.size,
     )
     if result.verdict == Verdict.UNREALIZABLE:
-        # The certificate builder re-solves with its own coarse
-        # interpretation over the unpruned normalization, so the knob never
-        # reaches it.
-        result.certificate = build_clia_certificate(problem, examples)
+        # The builder certifies the coarse fixpoint of the unpruned,
+        # stratified worklist solve.  A solve with those settings is handed
+        # over with its comparison record, and the builder reuses it when
+        # the coarse transfer agrees with every recorded comparison; any
+        # other solve leaves the builder to re-solve.
+        same_settings = stratify and strategy == WORKLIST and prune == "off"
+        result.certificate = build_clia_certificate(
+            problem,
+            examples,
+            exact=gfa if same_settings else None,
+            comparisons=interpretation.comparisons,
+        )
     result.details["gfa_seconds"] = gfa.solve_seconds
     result.details["outer_iterations"] = gfa.outer_iterations
     result.details["gfa_evaluations"] = gfa.evaluations

@@ -15,6 +15,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.domains import (
     AbstractDomain,
@@ -29,8 +31,9 @@ from repro.domains import (
     register_domain,
     resolve_domain,
 )
+from repro.domains.boolvectors import BoolVectorSet
 from repro.domains.interval import satisfiable_on_interval
-from repro.domains.numeric import Interval
+from repro.domains.numeric import Congruence, Interval, ProductValue
 from repro.domains.registry import get_domain_class
 from repro.engine.registry import create_engine
 from repro.logic.formulas import atom_eq, atom_ge, atom_le, atom_lt, conjunction, disjunction
@@ -202,6 +205,109 @@ def test_domains_overapproximate_enumeration(domain_name):
                 f"{domain_name}: {term} -> {vector} escapes "
                 f"{solution.start_value} on {grammar.name}"
             )
+
+
+# ---------------------------------------------------------------------------
+# IfThenElse#: the two-mask transfer against the per-guard fold
+# ---------------------------------------------------------------------------
+
+_INTERVALS = st.one_of(
+    st.just(Interval.empty()),
+    st.just(Interval.top()),
+    st.integers(-4, 4).map(lambda high: Interval(None, high)),
+    st.integers(-4, 4).map(lambda low: Interval(low, None)),
+    st.tuples(st.integers(-4, 4), st.integers(0, 4)).map(
+        lambda pair: Interval(pair[0], pair[0] + pair[1])
+    ),
+)
+
+_CONGRUENCES = st.one_of(
+    st.just(Congruence.empty_value()),
+    st.just(Congruence.top()),
+    st.integers(-4, 4).map(Congruence.constant),
+    st.tuples(st.integers(0, 5), st.integers(2, 6)).map(
+        lambda pair: Congruence(pair[0] % pair[1], pair[1])
+    ),
+)
+
+
+@st.composite
+def _ite_arguments(draw):
+    """``(guards, then, else)`` as a guard set and two component lists.
+
+    Guard sets cover the empty, singleton and full (``2^d``) cases, sets
+    whose guards all agree on coordinate 0, and arbitrary sets; a component
+    list is all-bottom a quarter of the time.
+    """
+    dimension = draw(st.integers(1, 4))
+    every = range(1 << dimension)
+    arbitrary = st.frozensets(st.sampled_from(every))
+    guard_bits = draw(
+        st.one_of(
+            st.just(frozenset()),
+            st.sampled_from(every).map(lambda bits: frozenset([bits])),
+            st.just(frozenset(every)),
+            arbitrary.map(lambda guards: frozenset(bits | 1 for bits in guards)),
+            arbitrary.map(lambda guards: frozenset(bits & ~1 for bits in guards)),
+            arbitrary,
+        )
+    )
+    guards = BoolVectorSet.from_packed(guard_bits, dimension)
+
+    def components():
+        if draw(st.integers(0, 3)) == 0:
+            return [(Interval.empty(), Congruence.empty_value())] * dimension
+        return draw(
+            st.lists(
+                st.tuples(_INTERVALS, _CONGRUENCES),
+                min_size=dimension,
+                max_size=dimension,
+            )
+        )
+
+    return guards, components(), components()
+
+
+def _fold_ite(guards, then_value, else_value, bottom):
+    """The per-guard fold: join ``select(guard)`` over every guard."""
+    result = bottom
+    for guard in guards:
+        result = result.join(then_value.select(guard, else_value))
+    return result
+
+
+def _product(components) -> ProductValue:
+    return ProductValue(
+        tuple(interval for interval, _ in components),
+        tuple(congruence for _, congruence in components),
+    )
+
+
+class TestIteTwoMasks:
+    @settings(max_examples=200, deadline=None)
+    @given(_ite_arguments())
+    def test_box_ite_matches_the_per_guard_fold(self, arguments):
+        guards, then_components, else_components = arguments
+        dimension = len(then_components)
+        then_value = Box([interval for interval, _ in then_components])
+        else_value = Box([interval for interval, _ in else_components])
+        result = IntervalDomain().ite(guards, then_value, else_value, dimension)
+        expected = _fold_ite(guards, then_value, else_value, Box.bottom(dimension))
+        assert result == expected
+        assert result.leq(expected) and expected.leq(result)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_ite_arguments())
+    def test_product_ite_matches_the_per_guard_fold(self, arguments):
+        guards, then_components, else_components = arguments
+        dimension = len(then_components)
+        then_value = _product(then_components)
+        else_value = _product(else_components)
+        result = NumericProductDomain().ite(guards, then_value, else_value, dimension)
+        expected = _fold_ite(
+            guards, then_value, else_value, ProductValue.bottom(dimension)
+        )
+        assert result == expected
 
 
 # ---------------------------------------------------------------------------

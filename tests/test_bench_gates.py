@@ -84,11 +84,11 @@ def test_logic_row_without_a_rate_fails_the_committed_rate_gate(tmp_path):
     assert perf._rate_vs_committed([row("a", 1.0)], tmp_path / "absent.json") is None
 
 
-def _fake_serve(monkeypatch, summary):
+def _fake_serve(monkeypatch, summary, **fields):
     def run(repetitions, quick):
         return {"legs": [], "summary": summary}
 
-    suite = dataclasses.replace(perf.SUITES["serve"], run=run)
+    suite = dataclasses.replace(perf.SUITES["serve"], run=run, **fields)
     monkeypatch.setitem(perf.SUITES, "serve", suite)
 
 
@@ -109,6 +109,31 @@ def test_bench_exit_code_follows_the_gates(monkeypatch, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "gate gate_warm_vs_cold_throughput >= 3.0: 2.9 FAIL" in out
     assert json.loads((tmp_path / "BENCH_serve_fresh.json").read_text())["quick"]
+
+
+def test_quick_run_without_out_leaves_the_suite_artifact_alone(
+    monkeypatch, tmp_path, capsys
+):
+    committed = tmp_path / "BENCH_serve.json"
+    committed.write_text("committed full run\n")
+    monkeypatch.chdir(tmp_path)
+    summary = {
+        "gate_warm_vs_cold_throughput": 5.0,
+        "all_schema_valid": True,
+        "all_definitive": True,
+        "warm_hit_ratio": 1.0,
+    }
+    _fake_serve(monkeypatch, summary, path=str(committed))
+    assert cli_main(["bench", "--suite", "serve", "--quick", "--repeat", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "wrote" not in out and out.count(" ok\n") == 3
+    assert committed.read_text() == "committed full run\n"
+    assert os.listdir(tmp_path) == ["BENCH_serve.json"]
+
+    # A full run still refreshes the suite's artifact.
+    assert cli_main(["bench", "--suite", "serve", "--repeat", "1"]) == 0
+    assert f"wrote {committed}" in capsys.readouterr().out
+    assert json.loads(committed.read_text())["quick"] is False
 
 
 def test_bench_rejects_repeat_below_one(capsys):

@@ -434,8 +434,11 @@ class TestChaosSweep:
             results,
             report["scenarios"],
         )
-        names = {row["name"] for row in report["scenarios"]}
-        assert {"crash", "hang", "corrupt", "kill9", "breaker", "self-heal"} <= names
+        rows = {row["name"]: row for row in report["scenarios"]}
+        assert {"crash", "hang", "corrupt", "kill9", "breaker", "self-heal"} <= set(rows)
+        # The hang and breaker rows count the replacements their fabric made.
+        for name in ("hang", "breaker"):
+            assert rows[name]["workers_replaced"] >= 1, rows[name]
         # The artifact is JSON-serialisable as produced.
         perf.render(report)
         import json

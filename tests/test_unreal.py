@@ -2,17 +2,26 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from repro.domains.clia import CliaInterpretation
+from repro.engine.registry import create_engine
+from repro.gfa.fixpoint import DENSE
 from repro.grammar import alphabet as alph
 from repro.grammar.rtg import Nonterminal, Production, RegularTreeGrammar
 from repro.semantics.examples import ExampleSet
+from repro.suites import get_benchmark
 from repro.suites.base import bounded_ite_grammar, linear_spec, max_spec, scaled_variable_spec
+from repro.sygus.parser import parse_sygus
 from repro.sygus.problem import SyGuSProblem
 from repro.synth.enumerator import EnumerativeSynthesizer
 from repro.synth.verifier import Verifier
+from repro.unreal import clia as clia_module
 from repro.unreal.approximate import check_examples_abstract
 from repro.unreal.cegis import NayConfig, NaySolver
+from repro.unreal.certificates import _CoarseCliaInterpretation, _semilinear_payload
 from repro.unreal.clia import check_clia_examples, solve_clia_gfa
 from repro.unreal.lia import check_lia_examples, solve_lia_gfa
 from repro.unreal.result import Verdict
@@ -149,6 +158,117 @@ class TestCliaProcedure:
         assert solution.boolean_values, "expected Boolean nonterminal values"
         guard_values = next(iter(solution.boolean_values.values()))
         assert len(guard_values) >= 1
+
+
+def _coarse_certificate(problem, examples):
+    """The certificate of an explicit re-solve under the coarse comparisons."""
+    solution = solve_clia_gfa(
+        problem.grammar, examples, interpretation=_CoarseCliaInterpretation(examples)
+    )
+    return _semilinear_payload(
+        problem,
+        examples,
+        dict(solution.integer_values),
+        dict(solution.boolean_values),
+    )
+
+
+@pytest.fixture()
+def clia_solves(monkeypatch):
+    """The ``interpretation`` argument of every ``solve_clia_gfa`` call."""
+    calls = []
+    solve = clia_module.solve_clia_gfa
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("interpretation"))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(clia_module, "solve_clia_gfa", counting)
+    return calls
+
+
+#: naySL-unrealizable witness checks from all three CLIA suites, each well
+#: under 0.1 s.
+_REUSE_SLICE = [
+    ("LimitedIf", "sum_2_15"),
+    ("LimitedIf", "example1"),
+    ("LimitedIf", "guard1"),
+    ("LimitedIf", "max2"),
+    ("LimitedConst", "mpg_guard2"),
+    ("LimitedConst", "array_sum_3_5"),
+    ("LimitedPlus", "search_2"),
+]
+
+#: 65 constants compared against 32 on three examples: the checker's coarse
+#: transfer tries 8 hull vectors x 65 linear-set pairs, past its work limit,
+#: so it returns all 8 hull vectors where the exact transfer finds 2.
+_HULL_FALLBACK = """
+(set-logic LIA)
+(synth-fun f ((x Int)) Int
+  ((Start Int ((ite B Zero One)))
+   (B Bool ((< I Mid)))
+   (I Int (%s))
+   (Mid Int (32))
+   (Zero Int (0))
+   (One Int (1))))
+(declare-var x Int)
+(constraint (= (f x) 2))
+(check-synth)
+""" % " ".join(str(value) for value in range(65))
+
+
+class TestCliaCertificateReuse:
+    """The CLIA builder certifies the exact fixpoint when the coarse
+    comparison transfer agrees with every comparison the exact solve
+    answered, and re-solves under the coarse transfer otherwise."""
+
+    @pytest.mark.parametrize("suite,name", _REUSE_SLICE)
+    def test_reused_certificate_is_the_coarse_re_solve_certificate(
+        self, suite, name, clia_solves
+    ):
+        benchmark = get_benchmark(name, suite)
+        examples = benchmark.witness_examples
+        result = check_clia_examples(benchmark.problem, examples)
+        assert result.verdict == Verdict.UNREALIZABLE
+        assert [type(interpretation) for interpretation in clia_solves] == [
+            CliaInterpretation
+        ]
+        expected = _coarse_certificate(benchmark.problem, examples)
+        assert expected is not None
+        assert json.dumps(result.certificate) == json.dumps(expected)
+
+    def test_one_naysl_check_solves_the_fixpoint_once(self, clia_solves):
+        benchmark = get_benchmark("max2", "LimitedIf")
+        result = create_engine("naySL").check(
+            benchmark.problem, benchmark.witness_examples
+        )
+        assert result.verdict == Verdict.UNREALIZABLE
+        assert result.certificate is not None
+        assert len(clia_solves) == 1
+
+    def test_hull_fallback_re_solves_under_the_coarse_transfer(self, clia_solves):
+        problem = parse_sygus(_HULL_FALLBACK, name="hull-fallback")
+        examples = ExampleSet.of({"x": 0}, {"x": 1}, {"x": 2})
+        result = check_clia_examples(problem, examples)
+        assert result.verdict == Verdict.UNREALIZABLE
+        assert result.details["boolean_values"] == {"B": "{(f, f, f), (t, t, t)}"}
+        assert len(clia_solves) == 2
+        assert type(clia_solves[1]).__name__ == "CoarseCliaInterpretation"
+        expected = _coarse_certificate(problem, examples)
+        assert len(expected["boolean_values"]["B"]["bits"]) == 8
+        assert json.dumps(result.certificate) == json.dumps(expected)
+
+    @pytest.mark.parametrize(
+        "knobs", [{"stratify": False}, {"strategy": DENSE}, {"prune": "oe"}]
+    )
+    def test_other_solve_settings_re_solve(self, knobs, clia_solves):
+        benchmark = get_benchmark("max2", "LimitedIf")
+        examples = benchmark.witness_examples
+        result = check_clia_examples(benchmark.problem, examples, **knobs)
+        assert result.verdict == Verdict.UNREALIZABLE
+        assert len(clia_solves) == 2
+        expected = _coarse_certificate(benchmark.problem, examples)
+        assert json.dumps(result.certificate) == json.dumps(expected)
 
 
 class TestApproximateChecker:
