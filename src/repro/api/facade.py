@@ -21,6 +21,12 @@ can fan requests out to the supervised solve fabric (an ephemeral
 :class:`~repro.engine.supervisor.Supervisor`, or the ambient fabric under
 ``serve``) and ``repro-nay serve`` can accept them over HTTP unchanged.
 The experiment runner sends its cells through ``solve_batch`` too.
+
+The :class:`Solver` methods are doors: with a persistent result store
+configured they look each request up (:func:`repro.engine.store.lookup`)
+before dispatch and record each fresh response
+(:func:`repro.engine.store.record`).  :func:`execute_request` and
+:func:`run_engine` never touch the store.
 """
 
 from __future__ import annotations
@@ -170,23 +176,17 @@ def run_engine(
     outcomes become ``timeout``.
 
     ``tags`` is the request's free-form tag mapping; its consumers here are
-    the fault-injection layer (``tags["faults"]`` /
-    :data:`repro.testing.faults.FAULTS_ENV`), consulted right at the engine
-    boundary so chaos tests can make any leg crash, hang, stall or fail on
-    demand, and the persistent result store's bypass rule.  When no fault
-    channel is armed the hook is a single dict/env lookup — the production
-    path pays nothing.
+    the grammar-reduction knob and the fault-injection layer
+    (``tags["faults"]`` / :data:`repro.testing.faults.FAULTS_ENV`),
+    consulted right at the engine boundary so chaos tests can make any leg
+    crash, hang, stall or fail on demand.  When no fault channel is armed
+    the hook is a single dict/env lookup — the production path pays
+    nothing.
 
-    When an ambient :class:`~repro.engine.store.ResultStore` is configured
-    (installed, or named by ``REPRO_NAY_STORE``), this core is
-    read-through/write-back: a semantically identical prior run is replayed
-    from the store (marked ``solver_stats["store_hits"]``), and a fresh
-    definitive verdict is recorded for later processes.  Fault-tagged runs
-    bypass the store entirely — in both directions — so chaos traffic can
-    never serve from or poison it.
+    The persistent result store is not consulted here: the request's door
+    (:class:`Solver` or the ``serve`` handler) looks it up and records it.
     """
     from repro.engine.runner import apply_timeout_policy
-    from repro.engine.store import get_result_store, response_cacheable
     from repro.logic.solver import runtime_counters
     from repro.testing.faults import faults_armed, inject_faults
 
@@ -203,23 +203,6 @@ def run_engine(
     examples = examples if examples is not None else ExampleSet()
     if len(examples) == 0:
         kind = "solve"  # a check with nothing to check against is a solve
-
-    store = get_result_store()
-    store_key: Optional[str] = None
-    store_bypassed = False
-    if store is not None:
-        if faults_armed(tags):
-            store.note_bypass()
-            store_bypassed = True
-        else:
-            store_key = engine_store_key(
-                engine_name, kind, problem, examples, knobs=knobs, tags=tags
-            )
-            cached = store.get(store_key, engine_name)
-            if cached is not None:
-                hit = SolveResponse.from_json(cached)
-                hit.solver_stats = {**hit.solver_stats, "store_hits": 1}
-                return hit
 
     engine = create_engine(engine_name, **knobs)
 
@@ -312,7 +295,7 @@ def run_engine(
         if isinstance(details, dict):
             details = {**details, "fault_events": fault_events}
 
-    response = SolveResponse(
+    return SolveResponse(
         verdict=verdict.value,
         engine=engine.name,
         kind=kind,
@@ -328,70 +311,14 @@ def run_engine(
         certificate=json_safe(certificate) if certificate is not None else None,
         details=json_safe(details),
     )
-    # Write-back: record the pristine payload *before* the provenance
-    # markers below, so a later hit replays the response as solved.
-    if store is not None:
-        marks: Dict[str, int] = {}
-        if store_bypassed:
-            marks["store_bypasses"] = 1
-        elif store_key is not None:
-            marks["store_misses"] = 1
-            payload = response.to_json()
-            if response_cacheable(payload):
-                stored, evicted = store.put(store_key, engine_name, payload)
-                if stored:
-                    marks["store_stores"] = 1
-                if evicted:
-                    marks["store_evictions"] = evicted
-        if marks:
-            response.solver_stats = {**response.solver_stats, **marks}
-    return response
-
-
-def engine_store_key(
-    engine_name: str,
-    kind: str,
-    problem: SyGuSProblem,
-    examples: ExampleSet,
-    *,
-    knobs: Mapping[str, Any],
-    tags: Optional[Mapping[str, Any]] = None,
-) -> str:
-    """The persistent store's engine-tier key for one :func:`run_engine` call.
-
-    Canonicalizes everything that determines the verdict: the engine, the
-    run kind, the problem (printed back to SyGuS-IF — structural, so two
-    routes to the same problem share entries), the resolved example set,
-    the result-affecting knobs, and the semantic tags.  ``timeout_seconds``
-    is deliberately *excluded*: the engines are deterministic, so a
-    definitive verdict is budget-independent (a run that blew its budget is
-    non-definitive and never stored), and the staged/portfolio legs call
-    with shrinking remaining-budget timeouts that must all share one entry.
-    Non-semantic tags are excluded by :func:`request_fingerprint` itself.
-    """
-    from repro.engine.results import request_fingerprint
-
-    payload = {
-        "engine": engine_name,
-        "kind": kind,
-        "problem": problem.name,
-        "sl": print_sygus(problem),
-        "examples": list(examples.as_dicts()),
-        "knobs": {
-            key: value
-            for key, value in sorted(knobs.items())
-            if key != "timeout_seconds"
-        },
-        "tags": dict(tags or {}),
-    }
-    return request_fingerprint(payload)
 
 
 def execute_request(request: SolveRequest) -> SolveResponse:
-    """Execute one wire request end to end (also the batch worker entry).
+    """Execute one wire request end to end (also the fabric worker entry).
 
     Failures to resolve or solve become ``verdict="error"`` responses rather
     than exceptions, so a batch or a served endpoint degrades per-request.
+    Below the doors: it neither reads nor writes the result store.
     """
     try:
         if request.engine == PORTFOLIO_ENGINE:
@@ -540,9 +467,9 @@ class Solver:
     def prepare(self, request: SolveRequest) -> SolveRequest:
         """Public form of the default-filling step.
 
-        The serve endpoint calls it before fingerprinting a request for
-        in-flight dedup, so two requests that only differ in budgets the
-        solver would fill identically share a fingerprint.
+        The serve endpoint calls it before keying a request for in-flight
+        dedup and the result store, so two requests that only differ in
+        budgets the solver would fill identically share a key.
         """
         return self._with_defaults(request)
 
@@ -550,7 +477,7 @@ class Solver:
 
     def solve(self, problem: ProblemLike, **overrides: Any) -> SolveResponse:
         """Solve one problem (kind ``auto``: check when examples exist)."""
-        return execute_request(self.request(problem, **overrides))
+        return self._solve_requests([self.request(problem, **overrides)])[0]
 
     def check(
         self,
@@ -561,13 +488,13 @@ class Solver:
         """One unrealizability check over a fixed example set."""
         if examples is not None and not isinstance(examples, ExampleSet):
             examples = ExampleSet.from_dicts(examples)
-        return execute_request(
-            self.request(problem, kind="check", examples=examples, **overrides)
-        )
+        return self._solve_requests(
+            [self.request(problem, kind="check", examples=examples, **overrides)]
+        )[0]
 
     def solve_request(self, request: SolveRequest) -> SolveResponse:
         """Execute a wire request, applying this solver's default budgets."""
-        return execute_request(self._with_defaults(request))
+        return self._solve_requests([self._with_defaults(request)])[0]
 
     def solve_batch(
         self,
@@ -585,48 +512,36 @@ class Solver:
         — either way a crashed worker is replaced and its request retried
         instead of poisoning the whole batch.
 
-        When a persistent result store is configured, already-solved
-        fingerprints are served from it *before* any dispatch (marked
-        ``solver_stats["store_hits"]``) and fresh definitive responses are
-        recorded back, so a re-run of the same batch costs one store read
-        per request instead of one solve.
+        ``solve``, ``check`` and ``solve_request`` are one-element batches.
+        When a persistent result store is configured, each request is looked
+        up *before* any dispatch (a hit is marked
+        ``solver_stats["store_hits"]``) and each fresh response is recorded
+        (:func:`repro.engine.store.record`), so a re-run of the same batch
+        costs one store read per request instead of one solve.  Nothing
+        below this door touches the store.
         """
-        from repro.engine.results import request_fingerprint
-        from repro.engine.store import (
-            get_result_store,
-            pristine_response,
-            response_cacheable,
-        )
-        from repro.testing.faults import faults_armed
-
         requests = [
             self._with_defaults(self.request(problem, **overrides))
             for problem in problems
         ]
-        workers = self.workers if workers is None else max(1, int(workers))
+        return self._solve_requests(
+            requests, self.workers if workers is None else max(1, int(workers))
+        )
 
-        # Pre-filter: serve already-solved fingerprints from the store so
-        # only genuinely new work reaches the supervisor.
-        store = get_result_store()
+    def _solve_requests(
+        self, requests: Sequence[SolveRequest], workers: int = 1
+    ) -> List[SolveResponse]:
+        """The door behind every solving method (see :meth:`solve_batch`)."""
+        from repro.engine.store import lookup, record
+
         responses: List[Optional[SolveResponse]] = [None] * len(requests)
-        fingerprints: List[Optional[str]] = [None] * len(requests)
         pending: List[int] = []
         for index, request in enumerate(requests):
-            if store is None:
+            hit = lookup(request)
+            if hit is None:
                 pending.append(index)
-                continue
-            if faults_armed(request.tags):
-                store.note_bypass()
-                pending.append(index)
-                continue
-            fingerprints[index] = request_fingerprint(request.to_json())
-            cached = store.get(fingerprints[index], request.engine)
-            if cached is None:
-                pending.append(index)
-                continue
-            hit = SolveResponse.from_json(cached)
-            hit.solver_stats = {**hit.solver_stats, "store_hits": 1}
-            responses[index] = hit
+            else:
+                responses[index] = SolveResponse.from_json(hit)
 
         todo = [requests[index] for index in pending]
         if workers == 1 or len(todo) <= 1:
@@ -641,15 +556,7 @@ class Solver:
                 with Supervisor(workers, warm=False, name="batch") as ephemeral:
                     solved = ephemeral.map(todo)
         for index, response in zip(pending, solved):
-            responses[index] = response
-            if store is not None and fingerprints[index] is not None:
-                payload = response.to_json()
-                if response_cacheable(payload):
-                    store.put(
-                        fingerprints[index],
-                        requests[index].engine,
-                        pristine_response(payload),
-                    )
+            responses[index] = record(requests[index], response)
         return [response for response in responses if response is not None]
 
     # -- certificates ---------------------------------------------------------

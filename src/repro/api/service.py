@@ -24,18 +24,21 @@ Robustness posture:
   ``max_request_bytes`` (HTTP 413), so a client cannot make the handler
   read an unbounded body.
 * **In-flight dedup** — semantically identical prepared payloads (by
-  :func:`repro.engine.results.request_fingerprint`, which ignores
-  non-semantic tags such as fault-injection plans) share one execution:
-  followers wait for the leader's response and get a copy marked
+  :func:`repro.engine.store.request_key`, which ignores non-semantic tags
+  such as fault-injection plans) share one execution: followers wait for
+  the leader's response and get a copy marked
   ``details["deduplicated"] = true``.
 * **Persistent result store** — when an ambient
   :class:`~repro.engine.store.ResultStore` is configured (``--store`` /
-  ``REPRO_NAY_STORE``), requests are answered from it *before* admission
-  control: a store hit costs one SQLite read, never a 503 + ``Retry-After``,
-  and survives server restarts.  Leaders write definitive responses back
-  after solving.  Fault-tagged requests bypass the store in both
-  directions, and ``/healthz`` reports the hit/miss/store/eviction/bypass
-  counters.
+  ``REPRO_NAY_STORE``), the handler is the request's door: it looks the
+  request up (:func:`repro.engine.store.lookup`) *before* admission
+  control, so a store hit costs one SQLite read, never a 503 +
+  ``Retry-After``, and survives server restarts; the dedup leader records
+  the response it solved (:func:`repro.engine.store.record`), under the
+  same key.  Nothing below the handler — fabric workers, portfolio legs,
+  staged stages — touches the store.  Fault-tagged requests bypass it in
+  both directions, and ``/healthz`` reports the
+  hit/miss/store/eviction/bypass counters.
 * **The solve fabric** — when ``serve`` installed a
   :class:`~repro.engine.supervisor.Supervisor`, single-engine requests run
   on its pre-warmed worker processes with crash recovery, retry/backoff and
@@ -55,14 +58,13 @@ Example::
 from __future__ import annotations
 
 import json
-import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
-from repro.api.facade import STRATEGY_ENGINES, Solver
+from repro.api.facade import STRATEGY_ENGINES, Solver, execute_request
 from repro.api.wire import SCHEMA_VERSION, SolveRequest, SolveResponse
-from repro.engine.store import STORE_ENV, ResultStore, get_result_store
+from repro.engine.store import get_result_store, lookup, record, request_key
 from repro.utils.errors import WireFormatError
 
 DEFAULT_HOST = "127.0.0.1"
@@ -157,13 +159,15 @@ class ApiServer(ThreadingHTTPServer):
 
         The strategy engines stay in the handler thread — their *legs* fan
         out to the ambient fabric (a daemonic fabric worker cannot fork race
-        legs of its own).
+        legs of its own).  The handler is the request's store door, so the
+        in-thread path calls :func:`execute_request`, not a :class:`Solver`
+        method, which would look the request up a second time.
         """
         from repro.engine.supervisor import get_fabric
 
         fabric = get_fabric()
         if fabric is None or request.engine in STRATEGY_ENGINES:
-            return self.solver.solve_request(request)
+            return execute_request(request)
         return fabric.solve(request)
 
 
@@ -272,30 +276,15 @@ class ApiRequestHandler(BaseHTTPRequestHandler):
         request = self._read_request()
         if request is None:
             return
-        from repro.engine.results import request_fingerprint
-        from repro.testing.faults import faults_armed
-
         prepared = self.server.solver.prepare(request)
-        fingerprint = request_fingerprint(prepared.to_json())
-        # The persistent tier answers before admission control: a store hit
-        # costs one SQLite read, so it never occupies a solve slot and is
-        # never refused with 503 + Retry-After.  Fault-tagged requests skip
-        # the store in both directions (chaos must neither serve from nor
-        # poison it).
-        store = get_result_store()
-        if store is not None and faults_armed(prepared.tags):
-            store.note_bypass()
-            store = None
-        if store is not None:
-            cached = store.get(fingerprint, prepared.engine)
-            if cached is not None:
-                payload = dict(cached)
-                payload["solver_stats"] = {
-                    **(payload.get("solver_stats") or {}),
-                    "store_hits": 1,
-                }
-                self._send_json(200, payload)
-                return
+        fingerprint = request_key(prepared)
+        # The store answers before admission control: a hit costs one
+        # SQLite read, so it never occupies a solve slot and is never
+        # refused with 503 + Retry-After.
+        hit = lookup(prepared, fingerprint)
+        if hit is not None:
+            self._send_json(200, hit)
+            return
         if not self.server.try_admit():
             self._send_json(
                 503,
@@ -309,7 +298,7 @@ class ApiRequestHandler(BaseHTTPRequestHandler):
             )
             return
         try:
-            payload = self._solve_deduplicated(prepared, fingerprint, store)
+            payload = self._solve_deduplicated(prepared, fingerprint)
         except Exception as error:  # noqa: BLE001 — never drop the connection
             self._send_json(500, {"error": f"{type(error).__name__}: {error}"})
             return
@@ -318,26 +307,19 @@ class ApiRequestHandler(BaseHTTPRequestHandler):
         self._send_json(200, payload)
 
     def _solve_deduplicated(
-        self,
-        prepared: SolveRequest,
-        fingerprint: str,
-        store: Optional[ResultStore],
+        self, prepared: SolveRequest, fingerprint: str
     ) -> Dict[str, Any]:
-        from repro.engine.store import pristine_response, response_cacheable
         from repro.engine.supervisor import hard_guard
 
         entry, leader = self.server.claim(fingerprint)
         if leader:
+            # The leader records its response before settling, so a request
+            # arriving after the dedup entry is retired finds it stored.
             try:
-                entry.payload = self.server.execute(prepared).to_json()
+                response = self.server.execute(prepared)
+                entry.payload = record(prepared, response, fingerprint).to_json()
             finally:
                 self.server.settle(fingerprint, entry)
-            # The leader records the definitive outcome (stripped of the
-            # markers it accrued in transit) for every later process.
-            if store is not None and response_cacheable(entry.payload):
-                store.put(
-                    fingerprint, prepared.engine, pristine_response(entry.payload)
-                )
             return dict(entry.payload)
         # A byte-identical request is already solving: ride along.  The
         # leader's own hard guard bounds the wait; ours (plus slack for the
@@ -346,7 +328,9 @@ class ApiRequestHandler(BaseHTTPRequestHandler):
         entry.event.wait(None if guard is None else guard * 2.0)
         if entry.payload is None:
             # Leader failed before publishing (500 on its side): solve alone.
-            return self.server.execute(prepared).to_json()
+            return record(
+                prepared, self.server.execute(prepared), fingerprint
+            ).to_json()
         payload = dict(entry.payload)
         payload["details"] = {**(payload.get("details") or {}), "deduplicated": True}
         return payload
@@ -377,7 +361,6 @@ def serve(
     workers: Optional[int] = None,
     max_inflight: int = DEFAULT_MAX_INFLIGHT,
     max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
-    store: Optional[str] = None,
 ) -> int:
     """Run the JSON endpoint until interrupted (the ``serve`` subcommand).
 
@@ -387,16 +370,14 @@ def serve(
     the fabric and solves in handler threads/processes as before), with the
     liveness heartbeat running.  The fabric is shut down on exit.
 
-    ``store`` names the persistent result store file; it is exported as
-    :data:`~repro.engine.store.STORE_ENV` *before* the fabric spawns so
-    worker processes (fork and spawn contexts alike) inherit it and write
-    their engine-tier entries into the same file the HTTP tier reads.
+    The persistent result store is the ambient one
+    (:func:`~repro.engine.store.get_result_store`: the CLI's ``--store``, or
+    ``REPRO_NAY_STORE``).  Only the handler reads and writes it, so the
+    worker processes never need its path.
     """
     from repro.engine.supervisor import Supervisor, install_fabric, shutdown_fabric
 
-    if store is not None:
-        os.environ[STORE_ENV] = str(store)
-    store_path = os.environ.get(STORE_ENV)
+    store = get_result_store()
     supervisor: Optional[Supervisor] = None
     if workers is None or workers > 0:
         supervisor = Supervisor(workers, warm=True, name="serve")
@@ -415,7 +396,7 @@ def serve(
         if supervisor is not None
         else "fabric: disabled"
     )
-    store_note = f"store: {store_path}" if store_path else "store: disabled"
+    store_note = f"store: {store.path}" if store is not None else "store: disabled"
     print(
         f"repro-nay serving on http://{bound_host}:{bound_port} "
         f"(POST /solve, GET /engines, GET /healthz; schema v{SCHEMA_VERSION}; "

@@ -252,8 +252,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--store",
         default=None,
         metavar="PATH",
-        help="persistent result store (SQLite file shared by the HTTP tier "
-        "and the fabric workers; also settable via REPRO_NAY_STORE)",
+        help="persistent result store (SQLite file the HTTP handler answers "
+        "from and records into; also settable via REPRO_NAY_STORE)",
     )
 
     subparsers.add_parser("list", help="list all benchmarks")
@@ -354,15 +354,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     arguments = parser.parse_args(argv)
 
-    # --store exports the persistent result store path to the environment
-    # (rather than plumbing it through every call): the ambient accessor
-    # picks it up lazily here, and fabric/batch worker processes inherit it.
+    # --store installs the persistent result store for this process (rather
+    # than plumbing it through every call): the doors that look requests up
+    # and record them, Solver and the serve handler, run here, so worker
+    # processes never need the path.
     if getattr(arguments, "store", None):
-        import os
+        from repro.engine.store import ResultStore, install_result_store
 
-        from repro.engine.store import STORE_ENV
-
-        os.environ[STORE_ENV] = arguments.store
+        install_result_store(ResultStore(arguments.store))
 
     if arguments.command == "solve":
         solver = _solver_for(arguments)
@@ -415,7 +414,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 if arguments.max_request_bytes is not None
                 else DEFAULT_MAX_REQUEST_BYTES
             ),
-            store=arguments.store,
         )
 
     if arguments.command == "list":

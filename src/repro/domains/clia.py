@@ -127,10 +127,15 @@ class CliaInterpretation:
         For every candidate Boolean vector ``b`` we ask one integer
         feasibility query: is there a member of ``left`` and a member of
         ``right`` whose component-wise comparison equals ``b``?  This is the
-        "2^|E| SMT queries" implementation described in §6.2.
+        "2^|E| SMT queries" implementation described in §6.2.  A
+        comparison already answered in this solve (SolveMutual re-runs
+        SolveBool every outer round) is returned from :attr:`comparisons`.
         """
         if left.is_empty() or right.is_empty():
             return BoolVectorSet.empty(self.dimension)
+        known = self.comparisons.get((name, left, right))
+        if known is not None:
+            return known
         achievable: List[BoolVector] = []
         left_outputs = [
             LinearExpression.variable(f"_cmp_l{i}") for i in range(self.dimension)

@@ -69,10 +69,11 @@ SEMANTIC_TAGS = frozenset({"prune"})
 def request_fingerprint(payload: Dict[str, object]) -> str:
     """SHA-256 digest of a wire-request payload, canonical-JSON keyed.
 
-    The serve endpoint's in-flight dedup key and the persistent result
-    store's request-tier key: two requests share a fingerprint exactly when
-    they agree on every *semantic* field — engine, problem source, budgets,
-    seed, and the :data:`SEMANTIC_TAGS` subset of the tag mapping.
+    The hash behind :func:`repro.engine.store.request_key`, the persistent
+    result store's one key and the serve endpoint's in-flight dedup key:
+    two requests share a fingerprint exactly when they agree on every
+    *semantic* field — engine, problem source, budgets, seed, and the
+    :data:`SEMANTIC_TAGS` subset of the tag mapping.
     Non-semantic tags are dropped before hashing, so a fault-tagged request
     dedups against its clean twin instead of forcing a redundant solve.
     The ``tags`` entry is normalized (absent == empty == all-non-semantic),

@@ -4,26 +4,31 @@ The supervised solve fabric (:mod:`repro.engine.supervisor`) made repeat
 traffic *survivable*; this module makes it *cheap*.  Every definitive
 :class:`~repro.api.wire.SolveResponse` — certificate included — can be
 recorded in a SQLite file keyed by ``(fingerprint, engine,
-schema_version)`` and replayed by any later process that asks the same
-semantic question, so a served endpoint restarted between runs, a batch
-re-run over the same directory, or two fabric workers racing the same
-benchmark all pay for each solve exactly once.
+schema_version)`` and replayed by any later process that sends the same
+request, so a served endpoint restarted between runs or a batch re-run
+over the same directory pays for each solve exactly once.
 
 Design points (documented in docs/architecture/fabric.md):
 
 * **SQLite with WAL** (stdlib :mod:`sqlite3`, no new dependencies): WAL
   lets concurrent readers proceed under a single writer, which matches the
-  access pattern of a threading HTTP server backed by worker processes.
-  Connections are per-thread *and* per-pid — a store object inherited
-  through ``fork`` or re-created by ``spawn`` (via :meth:`__reduce__`)
-  reopens its own connection instead of sharing a file handle.
-* **Key schema** — ``fingerprint`` is a SHA-256 over the canonical JSON of
-  the *semantic* request payload (:func:`repro.engine.results.request_fingerprint`
-  for wire requests; the engine-tier key built by
-  ``repro.api.facade.run_engine`` for direct engine runs), ``engine`` names
-  the responder, and ``schema_version`` pins the wire format — a payload
-  written by a build speaking schema v3 is invisible to a build speaking
-  v4 rather than mis-parsed.
+  access pattern of a threading HTTP server.  Connections are per-thread
+  *and* per-pid — a store object inherited through ``fork`` or re-created
+  by ``spawn`` (via :meth:`__reduce__`) reopens its own connection instead
+  of sharing a file handle.
+* **One key space** — ``fingerprint`` is :func:`request_key`, a SHA-256
+  over the canonical JSON of the *semantic* wire request
+  (:func:`repro.engine.results.request_fingerprint`), ``engine`` names the
+  requested engine, and ``schema_version`` pins the wire format — a
+  payload written by a build speaking schema v3 is invisible to a build
+  speaking v4 rather than mis-parsed.
+* **Looked up and recorded once, at the door** — :func:`lookup` and
+  :func:`record` are the only callers of :meth:`ResultStore.get` and
+  :meth:`ResultStore.put`, and only the places a request comes in call
+  them: :class:`~repro.api.facade.Solver` (``solve``, ``check``,
+  ``solve_request`` and ``solve_batch``) and the ``serve`` handler.
+  Engine runs, fabric workers, portfolio legs and staged stages never
+  touch the store.
 * **Size-bounded LRU eviction** — every hit bumps a persistent access
   tick; a put that pushes the file's payload bytes over ``max_bytes``
   deletes least-recently-accessed rows (never the row just written) until
@@ -32,18 +37,16 @@ Design points (documented in docs/architecture/fabric.md):
   (``<path>.corrupt-<pid>-<n>``) and a fresh store is created in its
   place; no store operation is ever fatal to the caller (failures count in
   the ``errors`` counter and degrade to miss/no-op).
-* **Bypass rules** — consumers must never read or write the store while
+* **Bypass rules** — the helpers neither read nor write the store while
   fault injection is armed (:func:`repro.testing.faults.faults_armed`),
-  and :func:`response_cacheable` additionally refuses non-definitive
-  verdicts and any response carrying fault evidence, so chaos runs cannot
-  poison the cache even if a consumer forgets the first rule.
+  and :meth:`ResultStore.put` refuses whatever :func:`response_cacheable`
+  rejects (non-definitive verdicts, fault evidence), so chaos runs cannot
+  poison the cache.
 
 The ambient accessor mirrors the fabric's: :func:`install_result_store`
-pins a store for the process, otherwise :func:`get_result_store` lazily
-opens the path named by the :data:`STORE_ENV` environment variable
-(``REPRO_NAY_STORE``, also the CLI's ``--store``).  Environment variables
-cross ``fork`` and ``spawn`` boundaries alike, which is how fabric workers
-find the same file as their parent.
+pins a store for the process (the CLI's ``--store``), otherwise
+:func:`get_result_store` lazily opens the path named by the
+:data:`STORE_ENV` environment variable (``REPRO_NAY_STORE``).
 """
 
 from __future__ import annotations
@@ -56,7 +59,14 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
-from repro.api.wire import DEFINITIVE_VERDICTS, SCHEMA_VERSION
+from repro.api.wire import (
+    DEFINITIVE_VERDICTS,
+    SCHEMA_VERSION,
+    SolveRequest,
+    SolveResponse,
+)
+from repro.engine.results import request_fingerprint
+from repro.testing.faults import faults_armed
 
 #: Environment variable naming the store file (the CLI's ``--store``).
 STORE_ENV = "REPRO_NAY_STORE"
@@ -452,3 +462,83 @@ def get_result_store() -> Optional[ResultStore]:
             store = ResultStore(path)
             _ENV_STORES[path] = store
         return store
+
+
+# ---------------------------------------------------------------------------
+# The door helpers: the only callers of ResultStore.get / ResultStore.put
+# ---------------------------------------------------------------------------
+
+
+def request_key(request: SolveRequest) -> str:
+    """The store key of a request (also ``serve``'s in-flight dedup key).
+
+    :func:`~repro.engine.results.request_fingerprint` of the wire payload.
+    A ``path`` request names a file whose text can change between runs, so
+    its key folds that text in as ``sl`` (a real request sets exactly one
+    of ``path``/``sl``, so the two cannot collide): an edited file is
+    solved again rather than answered with the old file's verdict.
+    """
+    payload = request.to_json()
+    if request.path:
+        try:
+            payload["sl"] = Path(request.path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError):
+            pass  # the solve answers ``error``, which is never stored
+    return request_fingerprint(payload)
+
+
+def lookup(
+    request: SolveRequest, key: Optional[str] = None
+) -> Optional[Dict[str, Any]]:
+    """The ambient store's answer to a request, or ``None`` to solve it.
+
+    A hit is the stored payload marked ``solver_stats["store_hits"]``.
+    Without a store no key is computed; with fault injection armed the
+    store is skipped (and the bypass counted).  ``key`` is the request's
+    :func:`request_key` when the caller already has it.
+    """
+    store = get_result_store()
+    if store is None:
+        return None
+    if faults_armed(request.tags):
+        store.note_bypass()
+        return None
+    payload = store.get(key or request_key(request), request.engine)
+    if payload is not None:
+        payload["solver_stats"] = {
+            **(payload.get("solver_stats") or {}),
+            "store_hits": 1,
+        }
+    return payload
+
+
+def record(
+    request: SolveRequest, response: SolveResponse, key: Optional[str] = None
+) -> SolveResponse:
+    """File the response a missed :func:`lookup` solved; mark its provenance.
+
+    The stored form is :func:`pristine_response`, so a later hit replays the
+    response as solved, and :meth:`ResultStore.put` refuses what
+    :func:`response_cacheable` rejects.  The response gains
+    ``store_misses`` (plus ``store_stores``/``store_evictions`` when the put
+    wrote or evicted rows), or ``store_bypasses`` when fault injection is
+    armed (nothing is written).  Without a store it is returned untouched.
+    """
+    store = get_result_store()
+    if store is None:
+        return response
+    if faults_armed(request.tags):
+        marks = {"store_bypasses": 1}
+    else:
+        marks = {"store_misses": 1}
+        stored, evicted = store.put(
+            key or request_key(request),
+            request.engine,
+            pristine_response(response.to_json()),
+        )
+        if stored:
+            marks["store_stores"] = 1
+        if evicted:
+            marks["store_evictions"] = evicted
+    response.solver_stats = {**response.solver_stats, **marks}
+    return response

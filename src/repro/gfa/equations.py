@@ -54,9 +54,6 @@ class Monomial(Generic[Element]):
     coefficient: Element
     variables: Tuple[Key, ...] = ()
 
-    def degree(self) -> int:
-        return len(self.variables)
-
     def evaluate(self, semiring: Semiring, assignment: Mapping[Key, Element]) -> Element:
         value = self.coefficient
         for variable in self.variables:
@@ -181,14 +178,6 @@ class EquationSystem(Generic[Element]):
 
     def zero_assignment(self, semiring: Semiring) -> Dict[Key, Element]:
         return {key: semiring.zero() for key in self.equations}
-
-    def dependency_edges(self) -> List[Tuple[Key, Key]]:
-        """Edges ``(used, user)`` for stratification of the equation system."""
-        edges: List[Tuple[Key, Key]] = []
-        for user, polynomial in self.equations.items():
-            for used in polynomial.variables():
-                edges.append((used, user))
-        return edges
 
     def restricted_to(self, keys: Sequence[Key]) -> "EquationSystem":
         """The sub-system containing only the given variables' equations."""

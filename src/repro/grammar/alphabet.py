@@ -77,10 +77,6 @@ class Symbol:
     def __hash__(self) -> int:
         return self._hash  # type: ignore[attr-defined]
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.arity == 0
-
     def __str__(self) -> str:
         if self.payload is not None:
             return f"{self.name}({self.payload})"

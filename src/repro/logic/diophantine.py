@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.logic.terms import LinearExpression
 
@@ -184,20 +184,3 @@ def tighten_inequality(inequality: LinearExpression) -> LinearExpression:
     return LinearExpression(
         {name: value // gcd for name, value in coefficients}, constant
     )
-
-
-def gcd_test(equality: LinearExpression) -> Optional[bool]:
-    """Quick integer-feasibility test for a single equality ``expr = 0``.
-
-    Returns False when provably infeasible, True when trivially satisfiable
-    (no variables and constant zero), and None when inconclusive.
-    """
-    coefficients = equality.coefficients
-    if not coefficients:
-        return equality.constant == 0
-    gcd = 0
-    for value in coefficients.values():
-        gcd = math.gcd(gcd, abs(value))
-    if equality.constant % gcd != 0:
-        return False
-    return None

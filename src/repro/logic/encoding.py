@@ -15,7 +15,7 @@ expression via :func:`term_to_linear`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Tuple
+from typing import List, Mapping, Tuple
 
 from repro.grammar.terms import Term
 from repro.logic.formulas import (
@@ -168,10 +168,3 @@ def _input(inputs: Mapping[str, LinearExpression], name: str) -> LinearExpressio
     if name not in inputs:
         raise SolverError(f"no symbolic input provided for variable {name!r}")
     return inputs[name]
-
-
-def default_inputs(
-    variables: Tuple[str, ...], prefix: str = ""
-) -> Dict[str, LinearExpression]:
-    """Symbolic inputs named after the SyGuS variables (optionally prefixed)."""
-    return {name: LinearExpression.variable(prefix + name) for name in variables}

@@ -124,15 +124,6 @@ class Atom(Formula):
     def substitute(self, assignment: Mapping[str, LinearExpression]) -> Formula:
         return make_atom(self.expression.substitute(assignment), self.comparison)
 
-    def canonical_key(self) -> Tuple:
-        """A process-independent structural identity.
-
-        The DPLL(T) query cache and the lemma store key on this: two atoms
-        built in different worker processes (or pickled across a pool) with
-        the same expression and comparison produce the identical key.
-        """
-        return (self.expression.key(), self.comparison.value)
-
     def negated(self) -> Formula:
         """The complementary atom (kept atomic; no Not node needed)."""
         if self.comparison == Comparison.LE:

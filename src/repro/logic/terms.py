@@ -7,7 +7,7 @@ Python integers (arbitrary precision).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
 from repro.utils.errors import SolverError
 
@@ -177,11 +177,3 @@ def _coerce(value: "LinearExpression | int") -> LinearExpression:
     if isinstance(value, int):
         return LinearExpression.constant_expr(value)
     raise SolverError(f"cannot coerce {value!r} to a linear expression")
-
-
-def linear_sum(expressions: Iterable[LinearExpression]) -> LinearExpression:
-    """Sum an iterable of linear expressions."""
-    total = LinearExpression.constant_expr(0)
-    for expression in expressions:
-        total = total + expression
-    return total

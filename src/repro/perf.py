@@ -1493,11 +1493,7 @@ def _run_serve(repetitions: int, quick: bool) -> Report:
 
     from repro.api import Solver
     from repro.api.service import make_server
-    from repro.engine.store import (
-        STORE_ENV,
-        ResultStore,
-        install_result_store,
-    )
+    from repro.engine.store import ResultStore, install_result_store
     from repro.engine.supervisor import (
         BreakerBoard,
         RetryPolicy,
@@ -1520,10 +1516,7 @@ def _run_serve(repetitions: int, quick: bool) -> Report:
         }
 
     tempdir = tempfile.mkdtemp(prefix="repro-serve-bench-")
-    store_path = os.path.join(tempdir, "store.sqlite")
-    previous_env = os.environ.get(STORE_ENV)
-    os.environ[STORE_ENV] = store_path  # workers inherit through fork/spawn
-    store = ResultStore(store_path)
+    store = ResultStore(os.path.join(tempdir, "store.sqlite"))
     previous_store = install_result_store(store)
     fabric = Supervisor(
         workers,
@@ -1586,10 +1579,6 @@ def _run_serve(repetitions: int, quick: bool) -> Report:
         install_fabric(previous_fabric)
         fabric.shutdown()
         install_result_store(previous_store)
-        if previous_env is None:
-            os.environ.pop(STORE_ENV, None)
-        else:
-            os.environ[STORE_ENV] = previous_env
         store.close()
         shutil.rmtree(tempdir, ignore_errors=True)
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Optional, Union
 
-from repro.grammar.alphabet import Sort
 from repro.grammar.terms import Term
 from repro.semantics.examples import ExampleSet
 from repro.utils.errors import SemanticsError
@@ -157,8 +156,3 @@ def _combine(term: Term, children, examples: ExampleSet) -> VectorValue:
             return ~left.less_than(right)
         return left.equal_to(right)
     raise SemanticsError(f"cannot evaluate symbol {name}")
-
-
-def output_sort(term: Term) -> Sort:
-    """The sort of a term's value (integer or Boolean)."""
-    return term.symbol.result_sort

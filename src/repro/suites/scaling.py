@@ -147,27 +147,6 @@ def redundant_expression_benchmark(fanout: int = 3) -> Benchmark:
     )
 
 
-def redundant_chain_benchmark(length: int, fanout: int = 3) -> Benchmark:
-    """The unrealizable ``f(x) = 2x + 2`` spec over a redundant chain."""
-    grammar = redundant_chain_grammar(
-        length, fanout, name=f"redundant_chain_{length}x{fanout}"
-    )
-    spec = scaled_variable_spec("x", 2, 2)
-    return make_benchmark(
-        f"redundant_chain_{length}x{fanout}",
-        SUITE,
-        grammar,
-        spec,
-        "LIA",
-        {
-            "nonterminals": grammar.num_nonterminals,
-            "productions": grammar.num_productions,
-            "fanout": fanout,
-        },
-        witness_examples=example_set(1),
-    )
-
-
 def example_set(size: int) -> ExampleSet:
     """The example sets used for the scaling sweeps: x = 1, 2, 3, ..."""
     return ExampleSet(Example.of({"x": value}) for value in range(1, size + 1))

@@ -4,12 +4,12 @@ restricted versions ``sy_E`` (Def. 3.4)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.grammar.rtg import RegularTreeGrammar
 from repro.grammar.terms import Term
 from repro.semantics.evaluator import evaluate_on_example
-from repro.semantics.examples import Example, ExampleSet
+from repro.semantics.examples import ExampleSet
 from repro.sygus.spec import Specification
 from repro.utils.errors import SemanticsError
 
@@ -44,13 +44,6 @@ class SyGuSProblem:
             if not self.spec.holds_on_example(example, int(output)):
                 return False
         return True
-
-    def counterexample_value(self, term: Term, example: Example) -> Optional[int]:
-        """The term's output on an example when it violates the spec, else None."""
-        output = int(evaluate_on_example(term, example.as_dict()))
-        if self.spec.holds_on_example(example, output):
-            return None
-        return output
 
     def describe(self) -> str:
         """A short human-readable summary used by the CLI and the examples."""

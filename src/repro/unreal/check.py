@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 from typing import Protocol, Sequence
 
-from repro.logic.formulas import Formula, conjunction
+from repro.logic.formulas import Formula
 from repro.logic.solver import SolverContext
 from repro.logic.terms import LinearExpression
 from repro.semantics.examples import ExampleSet
@@ -33,21 +33,6 @@ class SymbolicAbstraction(Protocol):
 def output_variables(count: int) -> list[LinearExpression]:
     """The output variables ``o_1 ... o_n`` shared by all disjuncts (§5.4)."""
     return [LinearExpression.variable(f"_o{index}") for index in range(count)]
-
-
-def unrealizability_property(
-    abstraction: SymbolicAbstraction,
-    spec: Specification,
-    examples: ExampleSet,
-) -> Formula:
-    """The property ``P`` of Thm. 4.5."""
-    outputs = output_variables(len(examples))
-    membership = abstraction.symbolic(outputs)
-    spec_instances = [
-        spec.instantiate(example, outputs[index])
-        for index, example in enumerate(examples)
-    ]
-    return conjunction([membership] + spec_instances)
 
 
 def check_unrealizable(

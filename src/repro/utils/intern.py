@@ -95,9 +95,3 @@ def interner(name: str) -> Interner:
 def intern_stats() -> Dict[str, Dict[str, int]]:
     """Live-entry and hit/miss counts for every intern table."""
     return {name: table.stats() for name, table in sorted(_REGISTRY.items())}
-
-
-def clear_intern_tables() -> None:
-    """Reset every intern table (testing helper; see :meth:`Interner.clear`)."""
-    for table in _REGISTRY.values():
-        table.clear()

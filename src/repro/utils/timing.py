@@ -1,10 +1,9 @@
-"""Timing helpers used by the CEGIS loop and the experiment harness."""
+"""The deadline stopwatch used by the CEGIS loop and the enumerators."""
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Optional
 
 
 class Stopwatch:
@@ -33,45 +32,3 @@ class Stopwatch:
         """True when a deadline is configured and has passed."""
         remaining = self.remaining()
         return remaining is not None and remaining <= 0.0
-
-
-@dataclass
-class TimingBreakdown:
-    """Named accumulators for profiling where a solver spends its time.
-
-    §8.1 reports, e.g., that computing semi-linear sets takes 70.6% of NaySL's
-    running time; the experiment harness reproduces those percentages using
-    this breakdown.
-    """
-
-    totals: Dict[str, float] = field(default_factory=dict)
-
-    def add(self, label: str, seconds: float) -> None:
-        self.totals[label] = self.totals.get(label, 0.0) + seconds
-
-    def fraction(self, label: str) -> float:
-        """Return the fraction of total recorded time spent under ``label``."""
-        total = sum(self.totals.values())
-        if total == 0.0:
-            return 0.0
-        return self.totals.get(label, 0.0) / total
-
-    def merge(self, other: "TimingBreakdown") -> None:
-        for label, seconds in other.totals.items():
-            self.add(label, seconds)
-
-
-class timed:
-    """Context manager recording a block's duration into a TimingBreakdown."""
-
-    def __init__(self, breakdown: TimingBreakdown, label: str):
-        self._breakdown = breakdown
-        self._label = label
-        self._start = 0.0
-
-    def __enter__(self) -> "timed":
-        self._start = time.monotonic()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._breakdown.add(self._label, time.monotonic() - self._start)

@@ -7,7 +7,7 @@ import pytest
 from repro.cli import main as cli_main
 from repro.suites import all_benchmarks, get_benchmark
 from repro.sygus import parse_sygus, print_sygus
-from repro.utils.timing import Stopwatch, TimingBreakdown, timed
+from repro.utils.timing import Stopwatch
 
 #: A slice of benchmarks whose problems are exported to SyGuS-IF and re-parsed.
 ROUNDTRIP_BENCHMARKS = [
@@ -78,14 +78,3 @@ class TestTiming:
         assert stopwatch.remaining() > 0
         assert Stopwatch(timeout_seconds=0).expired()
         assert Stopwatch().remaining() is None
-
-    def test_breakdown_fractions(self):
-        breakdown = TimingBreakdown()
-        breakdown.add("solve", 3.0)
-        breakdown.add("check", 1.0)
-        assert breakdown.fraction("solve") == pytest.approx(0.75)
-        other = TimingBreakdown()
-        with timed(other, "block"):
-            pass
-        breakdown.merge(other)
-        assert "block" in breakdown.totals

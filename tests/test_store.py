@@ -1,18 +1,21 @@
 """The persistent result store (:mod:`repro.engine.store`).
 
-Four layers of battery, mirroring the store's consumers:
+Five layers of battery, mirroring the store's consumers:
 
 * **unit** — put/get/evict/quarantine semantics of one ``ResultStore``;
 * **fingerprint** — the semantic-tag allowlist: a fault-tagged request and
   its clean twin hash identically, while the store still refuses
   fault-injected payloads;
-* **integration** — the facade's read-through/write-back tier
-  (``run_engine``, ``solve_batch``) plus a differential sweep asserting
-  store-served responses are byte-identical to the fresh solves that
-  populated them, certificates re-verified by the independent checker;
-* **cross-process** — two supervised fabric workers against one store
-  file pay for each fingerprint exactly once (counter-based witness), and
-  store objects survive ``fork`` and ``spawn`` boundaries.
+* **integration** — the ``Solver`` door (``solve``/``check`` as
+  one-element batches, ``solve_batch``) plus a differential sweep
+  asserting store-served responses are byte-identical to the fresh solves
+  that populated them, certificates re-verified by the independent
+  checker;
+* **one tier** — only the doors touch the store: a served answer is one
+  row, and fabric workers (pre-warm included) write nothing;
+* **cross-process** — a 2-worker batch against one store file pays for
+  each fingerprint exactly once (counter-based witness), and store objects
+  survive ``fork`` and ``spawn`` boundaries.
 
 Every test isolates the ambient store and the ``REPRO_NAY_STORE`` /
 ``REPRO_NAY_FAULTS`` environment so nothing leaks between tests.
@@ -20,16 +23,19 @@ Every test isolates the ambient store and the ``REPRO_NAY_STORE`` /
 
 from __future__ import annotations
 
+import http.client
 import json
 import multiprocessing
 import os
 import pickle
 import sqlite3
+import threading
 
 import pytest
 
 from repro.analysis import check_certificate
-from repro.api.facade import Solver, engine_store_key
+from repro.api.facade import Solver
+from repro.api.service import make_server
 from repro.api.wire import SCHEMA_VERSION, SolveRequest, SolveResponse
 from repro.engine import engine_names
 from repro.engine.results import SEMANTIC_TAGS, request_fingerprint
@@ -43,8 +49,9 @@ from repro.engine.store import (
     pristine_response,
     response_cacheable,
 )
-from repro.engine.supervisor import Supervisor, get_breakers
+from repro.engine.supervisor import Supervisor, get_breakers, install_fabric
 from repro.suites import get_benchmark
+from repro.sygus import print_sygus
 from repro.testing.faults import reset_fault_state
 
 
@@ -264,36 +271,6 @@ class TestFingerprintSemantics:
             {**base, "tags": {"prune": "reduce"}}
         )
 
-    def test_engine_store_key_ignores_timeout_and_fault_tags(self):
-        problem = get_benchmark("plane1").problem
-        from repro.semantics.examples import ExampleSet
-
-        examples = ExampleSet()
-        key = engine_store_key(
-            "naySL",
-            "check",
-            problem,
-            examples,
-            knobs={"timeout_seconds": 5.0, "seed": 0},
-        )
-        twin = engine_store_key(
-            "naySL",
-            "check",
-            problem,
-            examples,
-            knobs={"timeout_seconds": 90.0, "seed": 0},
-            tags={"faults": "slow@*:1"},
-        )
-        assert key == twin
-        other = engine_store_key(
-            "naySL",
-            "check",
-            problem,
-            examples,
-            knobs={"seed": 1},
-        )
-        assert key != other
-
     def test_store_refuses_fault_evidence_even_under_clean_key(self, tmp_path):
         """The twin hashes identically, but a poisoned payload never lands."""
         store = ResultStore(tmp_path / "s.sqlite")
@@ -306,7 +283,7 @@ class TestFingerprintSemantics:
 
 
 # ---------------------------------------------------------------------------
-# Facade integration: read-through / write-back
+# Facade integration: the Solver door looks up and records
 # ---------------------------------------------------------------------------
 
 
@@ -355,7 +332,7 @@ class TestFacadeIntegration:
         cold = solver.solve_batch(problems)
         assert [response.verdict for response in cold] == ["unrealizable"] * 3
         recorded = store.stores_recorded()
-        assert recorded >= 3  # request tier (+ engine tier inside run_engine)
+        assert recorded == 3  # one row per request, written at the door
         warm = solver.solve_batch(problems)
         assert [response.verdict for response in warm] == ["unrealizable"] * 3
         assert all(r.solver_stats.get("store_hits") == 1 for r in warm)
@@ -368,6 +345,26 @@ class TestFacadeIntegration:
         warm = solver.solve_batch(["plane1", "guard1"])
         for before, after in zip(cold, warm):
             assert canonical(before.to_json()) == canonical(after.to_json())
+
+    def test_edited_sl_file_is_solved_again(self, tmp_path):
+        """A ``path`` request is keyed by the file's text, not only its name,
+        so editing the file between runs never replays the old verdict."""
+        install_result_store(ResultStore(tmp_path / "s.sqlite"))
+        solver = Solver(timeout_seconds=30.0)
+        path = tmp_path / "problem.sl"
+        path.write_text(print_sygus(get_benchmark("plane1").problem))
+        (first,) = solver.solve_batch([path])
+        assert first.verdict == "unrealizable"
+        assert first.solver_stats.get("store_stores") == 1
+        (again,) = solver.solve_batch([path])
+        assert again.solver_stats.get("store_hits") == 1
+        # The same grammar with the spec f(x) = x: realizable by ``x``.
+        path.write_text(
+            print_sygus(get_benchmark("plane1").problem).replace("(- 2)", "(- 1)")
+        )
+        (edited,) = solver.solve_batch([path])
+        assert "store_hits" not in edited.solver_stats
+        assert edited.verdict == "realizable"
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +413,70 @@ class TestDifferentialSweep:
 
 
 # ---------------------------------------------------------------------------
+# One tier: only the doors touch the store
+# ---------------------------------------------------------------------------
+
+
+def _post_solve(server, payload_dict):
+    host, port = server.server_address[0], server.server_address[1]
+    body = json.dumps(payload_dict).encode("utf-8")
+    conn = http.client.HTTPConnection(host, port, timeout=60)
+    try:
+        conn.request("POST", "/solve", body, {"Content-Type": "application/json"})
+        reply = conn.getresponse()
+        return reply.status, json.loads(reply.read())
+    finally:
+        conn.close()
+
+
+class TestOneStoreTier:
+    def test_cold_served_answer_is_one_row(self, tmp_path, monkeypatch):
+        """A definitive cold ``POST /solve`` solved on a 1-worker fabric
+        writes exactly one row: the handler records it, the worker writes
+        nothing even with ``REPRO_NAY_STORE`` in its environment."""
+        store_path = tmp_path / "serve.sqlite"
+        monkeypatch.setenv(STORE_ENV, str(store_path))
+        fabric = Supervisor(1, warm=False, name="store-one-row")
+        previous = install_fabric(fabric)
+        server = make_server(port=0, solver=Solver(timeout_seconds=60.0))
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            status, body = _post_solve(
+                server, {"benchmark": "plane1", "engine": "naySL", "kind": "check"}
+            )
+            assert status == 200
+            response = SolveResponse.from_json(body)
+            assert response.verdict == "unrealizable"
+            assert response.solver_stats.get("store_misses") == 1
+            assert response.solver_stats.get("store_stores") == 1
+            witness = ResultStore(store_path)
+            assert witness.snapshot()["entries"] == 1
+            assert witness.stores_recorded() == 1
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+            install_fabric(previous)
+            fabric.shutdown()
+        assert not thread.is_alive()
+
+    def test_fabric_workers_never_touch_the_store(self, tmp_path, monkeypatch):
+        """Neither a worker's pre-warm solve nor the requests it runs read
+        or write the store named in its environment."""
+        store_path = tmp_path / "shared.sqlite"
+        monkeypatch.setenv(STORE_ENV, str(store_path))
+        request = SolveRequest(
+            benchmark="guard1", engine="naySL", kind="check", timeout_seconds=30.0
+        )
+        with Supervisor(1, warm=True, name="store-untouched") as fabric:
+            response = fabric.solve(request)
+        assert response.verdict == "unrealizable"
+        assert ResultStore(store_path).snapshot()["entries"] == 0
+        assert not set(response.solver_stats) & STORE_STAT_KEYS
+
+
+# ---------------------------------------------------------------------------
 # Cross-process: the fabric against one store file
 # ---------------------------------------------------------------------------
 
@@ -441,30 +502,30 @@ class TestCrossProcess:
     def test_two_workers_exactly_one_solve_per_fingerprint(
         self, tmp_path, monkeypatch
     ):
-        """The counter-based witness: N unique requests through a 2-worker
-        fabric record exactly N engine-tier stores; a second pass (with
+        """The counter-based witness: N unique requests batched over a
+        2-worker fabric record exactly N stores; a second pass (with
         duplicates) is all hits and records nothing new."""
         store_path = tmp_path / "shared.sqlite"
         monkeypatch.setenv(STORE_ENV, str(store_path))
         benchmarks = ["plane1", "guard1", "plane2", "guard2"]
-        with Supervisor(2, warm=False, name="store-battery") as fabric:
-            cold = fabric.map(self._requests(benchmarks))
-            assert [r.verdict for r in cold] == ["unrealizable"] * 4
-            witness = ResultStore(store_path)
-            recorded = witness.stores_recorded()
-            assert recorded == len(benchmarks)
-            warm = fabric.map(self._requests(benchmarks + benchmarks))
-            assert [r.verdict for r in warm] == ["unrealizable"] * 8
-            assert all(r.solver_stats.get("store_hits") == 1 for r in warm)
-            assert witness.stores_recorded() == recorded
+        solver = Solver(workers=2)
+        cold = solver.solve_batch(self._requests(benchmarks))
+        assert [r.verdict for r in cold] == ["unrealizable"] * 4
+        witness = ResultStore(store_path)
+        recorded = witness.stores_recorded()
+        assert recorded == len(benchmarks)
+        warm = solver.solve_batch(self._requests(benchmarks + benchmarks))
+        assert [r.verdict for r in warm] == ["unrealizable"] * 8
+        assert all(r.solver_stats.get("store_hits") == 1 for r in warm)
+        assert witness.stores_recorded() == recorded
 
     def test_warm_responses_replay_cold_bytes_across_processes(
         self, tmp_path, monkeypatch
     ):
         monkeypatch.setenv(STORE_ENV, str(tmp_path / "shared.sqlite"))
-        with Supervisor(2, warm=False, name="store-differential") as fabric:
-            cold = fabric.map(self._requests(["plane1", "guard1"]))
-            warm = fabric.map(self._requests(["plane1", "guard1"]))
+        solver = Solver(workers=2)
+        cold = solver.solve_batch(self._requests(["plane1", "guard1"]))
+        warm = solver.solve_batch(self._requests(["plane1", "guard1"]))
         for before, after in zip(cold, warm):
             assert canonical(before.to_json()) == canonical(after.to_json())
 

@@ -271,6 +271,60 @@ class TestCliaCertificateReuse:
         assert json.dumps(result.certificate) == json.dumps(expected)
 
 
+#: Witness checks whose SolveMutual rounds re-run SolveBool over
+#: comparisons an earlier round already answered.
+_REPEATED_COMPARISONS = [
+    ("LimitedConst", "mpg_guard2"),
+    ("LimitedConst", "array_sum_3_5"),
+    ("LimitedPlus", "search_2"),
+]
+
+
+class TestCliaComparisonReuse:
+    """Each distinct comparison of a CLIA solve asks the solver once; the
+    comparisons SolveBool repeats come from the interpretation's record."""
+
+    @pytest.mark.parametrize("suite,name", _REPEATED_COMPARISONS)
+    def test_each_comparison_asks_the_solver_once(self, suite, name, monkeypatch):
+        from repro.domains import clia as clia_domain
+
+        asked = []
+        queries = []
+
+        class CountingContext(clia_domain.SolverContext):
+            def check(self, *args, **kwargs):
+                queries.append(self)
+                return super().check(*args, **kwargs)
+
+        monkeypatch.setattr(clia_domain, "SolverContext", CountingContext)
+        comparison = CliaInterpretation.comparison
+
+        def recording(self, operator, left, right):
+            if not (left.is_empty() or right.is_empty()):
+                asked.append((operator, left, right))
+            return comparison(self, operator, left, right)
+
+        monkeypatch.setattr(CliaInterpretation, "comparison", recording)
+        benchmark = get_benchmark(name, suite)
+        examples = benchmark.witness_examples
+        result = check_clia_examples(benchmark.problem, examples)
+        assert result.verdict == Verdict.UNREALIZABLE
+        assert result.certificate is not None
+        assert len(asked) > len(set(asked))
+        # One query per candidate Boolean vector, for each distinct comparison.
+        assert len(queries) == len(set(asked)) * 2 ** len(examples)
+
+        # Recomputing every repeat, as the solve did before it consulted the
+        # record, certifies the same values byte for byte.
+        def recomputing(self, operator, left, right):
+            self.comparisons.pop((operator, left, right), None)
+            return comparison(self, operator, left, right)
+
+        monkeypatch.setattr(CliaInterpretation, "comparison", recomputing)
+        fresh = check_clia_examples(benchmark.problem, examples)
+        assert json.dumps(result.certificate) == json.dumps(fresh.certificate)
+
+
 class TestApproximateChecker:
     def test_congruence_proves_running_example(self, running_example_problem):
         examples = ExampleSet.of({"x": 1})
