@@ -106,6 +106,9 @@ def resolve_problem(
         benchmark = get_benchmark(request.benchmark, request.suite)
         return benchmark.problem, benchmark
     if request.path:
+        if not isinstance(request.path, (str, os.PathLike)):
+            # ``open(1)`` would read, then close, this process's stdout.
+            raise ReproError(f"request path must be a string: {request.path!r}")
         try:
             return parse_sygus_file(request.path), None
         except OSError as error:
@@ -535,9 +538,12 @@ class Solver:
         from repro.engine.store import lookup, record
 
         responses: List[Optional[SolveResponse]] = [None] * len(requests)
+        keys: List[Optional[str]] = [None] * len(requests)
         pending: List[int] = []
         for index, request in enumerate(requests):
-            hit = lookup(request)
+            # Keyed once, before the solve: a ``path`` file edited while it
+            # solves cannot file its old verdict under the new text's key.
+            keys[index], hit = lookup(request)
             if hit is None:
                 pending.append(index)
             else:
@@ -556,7 +562,7 @@ class Solver:
                 with Supervisor(workers, warm=False, name="batch") as ephemeral:
                     solved = ephemeral.map(todo)
         for index, response in zip(pending, solved):
-            responses[index] = record(requests[index], response)
+            responses[index] = record(requests[index], response, keys[index])
         return [response for response in responses if response is not None]
 
     # -- certificates ---------------------------------------------------------

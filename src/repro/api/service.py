@@ -23,10 +23,11 @@ Robustness posture:
 * **Request-size bound** — ``Content-Length`` is required and capped at
   ``max_request_bytes`` (HTTP 413), so a client cannot make the handler
   read an unbounded body.
-* **In-flight dedup** — semantically identical prepared payloads (by
-  :func:`repro.engine.store.request_key`, which ignores non-semantic tags
-  such as fault-injection plans) share one execution: followers wait for
-  the leader's response and get a copy marked
+* **In-flight dedup** — semantically identical prepared payloads (by the
+  store key :func:`repro.engine.store.lookup` computed, else by
+  :func:`repro.engine.results.request_fingerprint`; both ignore
+  non-semantic tags such as fault-injection plans) share one execution:
+  followers wait for the leader's response and get a copy marked
   ``details["deduplicated"] = true``.
 * **Persistent result store** — when an ambient
   :class:`~repro.engine.store.ResultStore` is configured (``--store`` /
@@ -36,9 +37,12 @@ Robustness posture:
   ``Retry-After``, and survives server restarts; the dedup leader records
   the response it solved (:func:`repro.engine.store.record`), under the
   same key.  Nothing below the handler — fabric workers, portfolio legs,
-  staged stages — touches the store.  Fault-tagged requests bypass it in
-  both directions, and ``/healthz`` reports the
-  hit/miss/store/eviction/bypass counters.
+  staged stages — touches the store.  Fault-tagged requests, and
+  ``path`` requests whose file is not a regular file, bypass it in both
+  directions; the handler never reads such a file.  ``/healthz`` reports
+  the hit/miss/store/eviction/bypass counters.
+* **No dropped connections** — whatever happens after the body parses,
+  the client gets a JSON reply (500 for an unexpected failure).
 * **The solve fabric** — when ``serve`` installed a
   :class:`~repro.engine.supervisor.Supervisor`, single-engine requests run
   on its pre-warmed worker processes with crash recovery, retry/backoff and
@@ -64,7 +68,8 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.api.facade import STRATEGY_ENGINES, Solver, execute_request
 from repro.api.wire import SCHEMA_VERSION, SolveRequest, SolveResponse
-from repro.engine.store import get_result_store, lookup, record, request_key
+from repro.engine.results import request_fingerprint
+from repro.engine.store import get_result_store, lookup, record
 from repro.utils.errors import WireFormatError
 
 DEFAULT_HOST = "127.0.0.1"
@@ -276,50 +281,53 @@ class ApiRequestHandler(BaseHTTPRequestHandler):
         request = self._read_request()
         if request is None:
             return
+        try:
+            status, payload, headers = self._answer(request)
+        except Exception as error:  # noqa: BLE001 — never drop the connection
+            status, headers = 500, None
+            payload = {"error": f"{type(error).__name__}: {error}"}
+        self._send_json(status, payload, headers)
+
+    def _answer(
+        self, request: SolveRequest
+    ) -> Tuple[int, Dict[str, Any], Optional[Dict[str, str]]]:
+        """The status, payload and extra headers answering one request."""
         prepared = self.server.solver.prepare(request)
-        fingerprint = request_key(prepared)
         # The store answers before admission control: a hit costs one
         # SQLite read, so it never occupies a solve slot and is never
         # refused with 503 + Retry-After.
-        hit = lookup(prepared, fingerprint)
+        key, hit = lookup(prepared)
         if hit is not None:
-            self._send_json(200, hit)
-            return
+            return 200, hit, None
         if not self.server.try_admit():
-            self._send_json(
-                503,
-                {
-                    "error": (
-                        f"server saturated: {self.server.max_inflight} "
-                        "requests already in flight"
-                    )
-                },
-                headers={"Retry-After": str(RETRY_AFTER_SECONDS)},
+            error = (
+                f"server saturated: {self.server.max_inflight} "
+                "requests already in flight"
             )
-            return
+            return 503, {"error": error}, {"Retry-After": str(RETRY_AFTER_SECONDS)}
         try:
-            payload = self._solve_deduplicated(prepared, fingerprint)
-        except Exception as error:  # noqa: BLE001 — never drop the connection
-            self._send_json(500, {"error": f"{type(error).__name__}: {error}"})
-            return
+            return 200, self._solve_deduplicated(prepared, key), None
         finally:
             self.server.readmit()
-        self._send_json(200, payload)
 
     def _solve_deduplicated(
-        self, prepared: SolveRequest, fingerprint: str
+        self, prepared: SolveRequest, key: Optional[str]
     ) -> Dict[str, Any]:
+        """Solve a missed request once per in-flight twin, recording it
+        under its store ``key``.  Twins are found by that key, or by the
+        wire fingerprint when the lookup computed none."""
         from repro.engine.supervisor import hard_guard
 
-        entry, leader = self.server.claim(fingerprint)
+        flight = key or request_fingerprint(prepared.to_json())
+        entry, leader = self.server.claim(flight)
         if leader:
             # The leader records its response before settling, so a request
             # arriving after the dedup entry is retired finds it stored.
             try:
                 response = self.server.execute(prepared)
-                entry.payload = record(prepared, response, fingerprint).to_json()
+                entry.payload = record(prepared, response, key).to_json()
             finally:
-                self.server.settle(fingerprint, entry)
+                self.server.settle(flight, entry)
             return dict(entry.payload)
         # A byte-identical request is already solving: ride along.  The
         # leader's own hard guard bounds the wait; ours (plus slack for the
@@ -328,9 +336,7 @@ class ApiRequestHandler(BaseHTTPRequestHandler):
         entry.event.wait(None if guard is None else guard * 2.0)
         if entry.payload is None:
             # Leader failed before publishing (500 on its side): solve alone.
-            return record(
-                prepared, self.server.execute(prepared), fingerprint
-            ).to_json()
+            return record(prepared, self.server.execute(prepared), key).to_json()
         payload = dict(entry.payload)
         payload["details"] = {**(payload.get("details") or {}), "deduplicated": True}
         return payload

@@ -38,7 +38,8 @@ Design points (documented in docs/architecture/fabric.md):
   place; no store operation is ever fatal to the caller (failures count in
   the ``errors`` counter and degrade to miss/no-op).
 * **Bypass rules** — the helpers neither read nor write the store while
-  fault injection is armed (:func:`repro.testing.faults.faults_armed`),
+  fault injection is armed (:func:`repro.testing.faults.faults_armed`) or
+  for a ``path`` that is not a regular file (its text cannot be keyed),
   and :meth:`ResultStore.put` refuses whatever :func:`response_cacheable`
   rejects (non-definitive verdicts, fault evidence), so chaos runs cannot
   poison the cache.
@@ -51,9 +52,11 @@ pins a store for the process (the CLI's ``--store``), otherwise
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import sqlite3
+import stat
 import threading
 import time
 from pathlib import Path
@@ -469,72 +472,106 @@ def get_result_store() -> Optional[ResultStore]:
 # ---------------------------------------------------------------------------
 
 
-def request_key(request: SolveRequest) -> str:
-    """The store key of a request (also ``serve``'s in-flight dedup key).
+def _file_digest(path: Any) -> Optional[str]:
+    """SHA-256 of a regular file's bytes, or ``None`` when ``path`` names none.
+
+    A FIFO, a device such as ``/dev/zero`` or a directory is never opened
+    (opening a FIFO, even non-blocking, would briefly make this its reader),
+    nor read if it replaced the file between the check and the open.  The
+    file is hashed in chunks, so a large one costs no memory.  A malformed
+    name (not a string or path, an embedded NUL) is ``None`` too.
+    """
+    if not isinstance(path, (str, os.PathLike)):
+        return None
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None
+        fd = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
+    except (OSError, ValueError):
+        return None
+    try:
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            return None
+        digest = hashlib.sha256()
+        for chunk in iter(lambda: os.read(fd, 1 << 16), b""):
+            digest.update(chunk)
+    except OSError:
+        return None
+    finally:
+        os.close(fd)
+    return digest.hexdigest()
+
+
+def request_key(request: SolveRequest) -> Optional[str]:
+    """The store key of a request, or ``None`` when it cannot have one.
 
     :func:`~repro.engine.results.request_fingerprint` of the wire payload.
     A ``path`` request names a file whose text can change between runs, so
-    its key folds that text in as ``sl`` (a real request sets exactly one
-    of ``path``/``sl``, so the two cannot collide): an edited file is
-    solved again rather than answered with the old file's verdict.
+    its key also hashes the file's bytes (a real request sets exactly one of
+    ``path``/``sl``, so the two cannot collide): an edited file is solved
+    again rather than answered with the old file's verdict.  A path that is
+    not a readable regular file (a pipe such as ``<(...)``, a device, a
+    directory, a malformed name) has no text to key on, so it has no key
+    and the store neither answers nor records it.
     """
     payload = request.to_json()
     if request.path:
-        try:
-            payload["sl"] = Path(request.path).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError):
-            pass  # the solve answers ``error``, which is never stored
+        digest = _file_digest(request.path)
+        if digest is None:
+            return None
+        payload["sl"] = digest
     return request_fingerprint(payload)
 
 
 def lookup(
-    request: SolveRequest, key: Optional[str] = None
-) -> Optional[Dict[str, Any]]:
-    """The ambient store's answer to a request, or ``None`` to solve it.
+    request: SolveRequest,
+) -> Tuple[Optional[str], Optional[Dict[str, Any]]]:
+    """Key a request and look it up in the ambient store: ``(key, hit)``.
 
-    A hit is the stored payload marked ``solver_stats["store_hits"]``.
-    Without a store no key is computed; with fault injection armed the
-    store is skipped (and the bypass counted).  ``key`` is the request's
-    :func:`request_key` when the caller already has it.
+    ``hit`` is the stored payload marked ``solver_stats["store_hits"]``, or
+    ``None`` to solve the request.  ``key`` is what :func:`record` files the
+    solved response under; it is ``None`` when no store is configured (no
+    key is computed), when fault injection is armed, or when the request has
+    no :func:`request_key` (the last two count as a bypass).
     """
     store = get_result_store()
     if store is None:
-        return None
-    if faults_armed(request.tags):
+        return None, None
+    key = None if faults_armed(request.tags) else request_key(request)
+    if key is None:
         store.note_bypass()
-        return None
-    payload = store.get(key or request_key(request), request.engine)
+        return None, None
+    payload = store.get(key, request.engine)
     if payload is not None:
         payload["solver_stats"] = {
             **(payload.get("solver_stats") or {}),
             "store_hits": 1,
         }
-    return payload
+    return key, payload
 
 
 def record(
-    request: SolveRequest, response: SolveResponse, key: Optional[str] = None
+    request: SolveRequest, response: SolveResponse, key: Optional[str]
 ) -> SolveResponse:
-    """File the response a missed :func:`lookup` solved; mark its provenance.
+    """File the response to a missed :func:`lookup` under its ``key``.
 
     The stored form is :func:`pristine_response`, so a later hit replays the
     response as solved, and :meth:`ResultStore.put` refuses what
     :func:`response_cacheable` rejects.  The response gains
     ``store_misses`` (plus ``store_stores``/``store_evictions`` when the put
-    wrote or evicted rows), or ``store_bypasses`` when fault injection is
-    armed (nothing is written).  Without a store it is returned untouched.
+    wrote or evicted rows), or ``store_bypasses`` when the lookup bypassed
+    the store (``key`` is ``None``; nothing is written).  Without a store it
+    is returned untouched.
     """
     store = get_result_store()
     if store is None:
         return response
-    if faults_armed(request.tags):
+    if key is None:
         marks = {"store_bypasses": 1}
     else:
         marks = {"store_misses": 1}
         stored, evicted = store.put(
-            key or request_key(request),
-            request.engine,
-            pristine_response(response.to_json()),
+            key, request.engine, pristine_response(response.to_json())
         )
         if stored:
             marks["store_stores"] = 1

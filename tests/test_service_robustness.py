@@ -2,8 +2,9 @@
 
 Request-size bounds (413), admission control (503 + ``Retry-After``),
 in-flight dedup, the breaker/fabric surface on ``/healthz``, the serve
-smoke that kills a fabric worker mid-request, and the persistent result
-store tier (instant hits, monotone counters, saturation immunity).
+smoke that kills a fabric worker mid-request, the persistent result
+store tier (instant hits, monotone counters, saturation immunity, one row
+per served answer), and ``path`` requests the store cannot key.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from repro.engine.supervisor import (
     install_fabric,
     shutdown_fabric,
 )
+from repro.suites import get_benchmark
+from repro.sygus import print_sygus
 from repro.testing.faults import reset_fault_state
 
 
@@ -499,3 +502,82 @@ class TestServeWithFabric:
         finally:
             _stop(server, thread)
             shutdown_fabric()
+
+
+class TestStoreDoor:
+    def test_cold_served_answer_is_one_row(self, tmp_path, monkeypatch):
+        """A definitive cold ``POST /solve`` solved on a 1-worker fabric
+        writes exactly one row: the handler records it, the worker writes
+        nothing even with ``REPRO_NAY_STORE`` in its environment."""
+        store_path = tmp_path / "serve.sqlite"
+        monkeypatch.setenv(STORE_ENV, str(store_path))
+        install_fabric(Supervisor(1, warm=False, name="store-one-row"))
+        server = make_server(port=0, solver=Solver(timeout_seconds=60.0))
+        thread = _run(server)
+        try:
+            status, _, body = _post(
+                server, {"benchmark": "plane1", "engine": "naySL", "kind": "check"}
+            )
+        finally:
+            _stop(server, thread)
+            shutdown_fabric()
+        assert status == 200
+        response = SolveResponse.from_json(body)
+        assert response.verdict == "unrealizable"
+        assert response.solver_stats.get("store_misses") == 1
+        assert response.solver_stats.get("store_stores") == 1
+        witness = ResultStore(store_path)
+        assert witness.snapshot()["entries"] == 1
+        assert witness.stores_recorded() == 1
+
+
+class TestHostilePaths:
+    """A ``path`` the store cannot key gets a well-formed reply, bypasses
+    the store, and is never opened by the handler."""
+
+    @pytest.mark.parametrize("kind", ["int", "nul", "directory"])
+    def test_unkeyable_path_gets_an_error_reply(self, api_server, tmp_path, kind):
+        store = ResultStore(tmp_path / "serve.sqlite")
+        install_result_store(store)
+        path = {"int": 1, "nul": "bad\x00name.sl", "directory": str(tmp_path)}[kind]
+        status, _, body = _post(api_server, {"path": path, "engine": "naySL"})
+        assert status == 200
+        response = SolveResponse.from_json(body)
+        assert response.verdict == "error"
+        assert response.solver_stats.get("store_bypasses") == 1
+        assert store.snapshot()["entries"] == 0
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+    def test_fifo_path_is_read_by_the_solve_alone(self, api_server, tmp_path):
+        """Keying a FIFO would drain it (or block without a writer) before
+        the solve reads it; the handler leaves it to the solve."""
+        store = ResultStore(tmp_path / "serve.sqlite")
+        install_result_store(store)
+        fifo = tmp_path / "problem.sl"
+        os.mkfifo(fifo)
+        text = print_sygus(get_benchmark("plane1").problem)
+
+        def feed():
+            try:
+                with open(fifo, "w", encoding="utf-8") as pipe:
+                    pipe.write(text)
+            except OSError:
+                pass
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            status, _, body = _post(api_server, {"path": str(fifo), "engine": "naySL"})
+        finally:
+            # Release whichever end is still blocked on the FIFO.
+            for flags in (os.O_RDONLY, os.O_WRONLY):
+                try:
+                    os.close(os.open(fifo, flags | os.O_NONBLOCK))
+                except OSError:
+                    pass
+            writer.join(timeout=5)
+        assert status == 200
+        response = SolveResponse.from_json(body)
+        assert response.verdict == "unrealizable"
+        assert response.solver_stats.get("store_bypasses") == 1
+        assert store.snapshot()["entries"] == 0

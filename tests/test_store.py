@@ -11,8 +11,9 @@ Five layers of battery, mirroring the store's consumers:
   asserting store-served responses are byte-identical to the fresh solves
   that populated them, certificates re-verified by the independent
   checker;
-* **one tier** — only the doors touch the store: a served answer is one
-  row, and fabric workers (pre-warm included) write nothing;
+* **one tier** — only the doors touch the store: fabric workers (pre-warm
+  included) write nothing (the served answer's one row is asserted with
+  the other serve tests in ``tests/test_service_robustness.py``);
 * **cross-process** — a 2-worker batch against one store file pays for
   each fingerprint exactly once (counter-based witness), and store objects
   survive ``fork`` and ``spawn`` boundaries.
@@ -23,20 +24,17 @@ Every test isolates the ambient store and the ``REPRO_NAY_STORE`` /
 
 from __future__ import annotations
 
-import http.client
 import json
 import multiprocessing
 import os
 import pickle
 import sqlite3
-import threading
 
 import pytest
 
 from repro.analysis import check_certificate
 from repro.api.facade import Solver
-from repro.api.service import make_server
-from repro.api.wire import SCHEMA_VERSION, SolveRequest, SolveResponse
+from repro.api.wire import SCHEMA_VERSION, SolveRequest
 from repro.engine import engine_names
 from repro.engine.results import SEMANTIC_TAGS, request_fingerprint
 from repro.engine.store import (
@@ -46,10 +44,12 @@ from repro.engine.store import (
     ResultStore,
     get_result_store,
     install_result_store,
+    lookup,
     pristine_response,
+    request_key,
     response_cacheable,
 )
-from repro.engine.supervisor import Supervisor, get_breakers, install_fabric
+from repro.engine.supervisor import Supervisor, get_breakers
 from repro.suites import get_benchmark
 from repro.sygus import print_sygus
 from repro.testing.faults import reset_fault_state
@@ -366,6 +366,66 @@ class TestFacadeIntegration:
         assert "store_hits" not in edited.solver_stats
         assert edited.verdict == "realizable"
 
+    def test_file_edited_during_its_solve_is_solved_again(
+        self, tmp_path, monkeypatch
+    ):
+        """The door keys a ``path`` request once, before the solve: a file
+        edited while it solves files the old verdict under the old text's
+        key, so the edited text is solved, not answered from the store."""
+        import repro.api.facade as facade
+
+        install_result_store(ResultStore(tmp_path / "s.sqlite"))
+        solver = Solver(timeout_seconds=30.0)
+        path = tmp_path / "problem.sl"
+        original = print_sygus(get_benchmark("plane1").problem)
+        path.write_text(original)
+        execute = facade.execute_request
+
+        def solve_then_edit(request):
+            response = execute(request)
+            path.write_text(original.replace("(- 2)", "(- 1)"))
+            return response
+
+        monkeypatch.setattr(facade, "execute_request", solve_then_edit)
+        (first,) = solver.solve_batch([path])
+        assert first.verdict == "unrealizable"
+        assert first.solver_stats.get("store_stores") == 1
+        monkeypatch.setattr(facade, "execute_request", execute)
+        (edited,) = solver.solve_batch([path])
+        assert "store_hits" not in edited.solver_stats
+        assert edited.verdict == "realizable"
+
+
+class TestRequestKey:
+    def test_regular_file_key_follows_its_bytes(self, tmp_path):
+        path = tmp_path / "problem.sl"
+        path.write_text("(a)")
+        request = SolveRequest(path=str(path), engine="naySL")
+        before = request_key(request)
+        path.write_text("(b)")
+        assert request_key(request) not in (None, before)
+        assert request_key(SolveRequest(sl="(a)", engine="naySL")) != before
+
+    @pytest.mark.parametrize("kind", ["directory", "fifo", "missing", "nul", "int"])
+    def test_path_without_regular_file_has_no_key(self, tmp_path, kind):
+        if kind == "fifo" and not hasattr(os, "mkfifo"):
+            pytest.skip("no FIFOs on this platform")
+        if kind == "fifo":
+            os.mkfifo(tmp_path / "pipe.sl")
+        path = {
+            "directory": str(tmp_path),
+            "fifo": str(tmp_path / "pipe.sl"),  # never opened: no writer needed
+            "missing": str(tmp_path / "absent.sl"),
+            "nul": "bad\x00name.sl",
+            "int": 1,
+        }[kind]
+        request = SolveRequest(path=path, engine="naySL")
+        assert request_key(request) is None
+        store = ResultStore(tmp_path / "s.sqlite")
+        install_result_store(store)
+        assert lookup(request) == (None, None)
+        assert store.counters["bypasses"] == 1
+
 
 # ---------------------------------------------------------------------------
 # Differential sweep: every registered engine, store vs fresh
@@ -417,50 +477,7 @@ class TestDifferentialSweep:
 # ---------------------------------------------------------------------------
 
 
-def _post_solve(server, payload_dict):
-    host, port = server.server_address[0], server.server_address[1]
-    body = json.dumps(payload_dict).encode("utf-8")
-    conn = http.client.HTTPConnection(host, port, timeout=60)
-    try:
-        conn.request("POST", "/solve", body, {"Content-Type": "application/json"})
-        reply = conn.getresponse()
-        return reply.status, json.loads(reply.read())
-    finally:
-        conn.close()
-
-
 class TestOneStoreTier:
-    def test_cold_served_answer_is_one_row(self, tmp_path, monkeypatch):
-        """A definitive cold ``POST /solve`` solved on a 1-worker fabric
-        writes exactly one row: the handler records it, the worker writes
-        nothing even with ``REPRO_NAY_STORE`` in its environment."""
-        store_path = tmp_path / "serve.sqlite"
-        monkeypatch.setenv(STORE_ENV, str(store_path))
-        fabric = Supervisor(1, warm=False, name="store-one-row")
-        previous = install_fabric(fabric)
-        server = make_server(port=0, solver=Solver(timeout_seconds=60.0))
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            status, body = _post_solve(
-                server, {"benchmark": "plane1", "engine": "naySL", "kind": "check"}
-            )
-            assert status == 200
-            response = SolveResponse.from_json(body)
-            assert response.verdict == "unrealizable"
-            assert response.solver_stats.get("store_misses") == 1
-            assert response.solver_stats.get("store_stores") == 1
-            witness = ResultStore(store_path)
-            assert witness.snapshot()["entries"] == 1
-            assert witness.stores_recorded() == 1
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=10)
-            install_fabric(previous)
-            fabric.shutdown()
-        assert not thread.is_alive()
-
     def test_fabric_workers_never_touch_the_store(self, tmp_path, monkeypatch):
         """Neither a worker's pre-warm solve nor the requests it runs read
         or write the store named in its environment."""
