@@ -29,6 +29,7 @@ import multiprocessing
 import os
 import pickle
 import sqlite3
+import threading
 
 import pytest
 
@@ -420,7 +421,15 @@ class TestRequestKey:
             "int": 1,
         }[kind]
         request = SolveRequest(path=path, engine="naySL")
-        assert request_key(request) is None
+        # In a thread: opening a FIFO with no writer would block forever.
+        keys = []
+        worker = threading.Thread(
+            target=lambda: keys.append(request_key(request)), daemon=True
+        )
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive(), "request_key blocked on the path"
+        assert keys == [None]
         store = ResultStore(tmp_path / "s.sqlite")
         install_result_store(store)
         assert lookup(request) == (None, None)
