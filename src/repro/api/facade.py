@@ -56,6 +56,7 @@ from repro.api.wire import (
     json_safe,
 )
 from repro.engine.registry import create_engine, engine_names
+from repro.logic.solver import STAT_KEYS
 from repro.semantics.examples import ExampleSet
 from repro.suites import get_benchmark, is_registered
 from repro.suites.base import Benchmark
@@ -63,6 +64,7 @@ from repro.sygus import parse_sygus, parse_sygus_file, print_sygus
 from repro.sygus.problem import SyGuSProblem
 from repro.unreal.result import Verdict
 from repro.utils.errors import ReproError, SolverLimitError
+from repro.utils.stats import recording
 
 #: The reserved engine name that races every (or a chosen subset of the)
 #: registered engines and returns the first definitive verdict.
@@ -186,11 +188,17 @@ def run_engine(
     the hook is a single dict/env lookup — the production path pays
     nothing.
 
+    ``solver_stats`` is what the engine run recorded in its own
+    :func:`repro.utils.stats.recording` scope (the logic core's
+    :data:`~repro.logic.solver.STAT_KEYS`, always present, plus whatever
+    the layers counted or noted), exact per request even when ``serve``
+    handler threads solve at once.  Only the certificate and fault counters
+    are written here.
+
     The persistent result store is not consulted here: the request's door
     (:class:`Solver` or the ``serve`` handler) looks it up and records it.
     """
     from repro.engine.runner import apply_timeout_policy
-    from repro.logic.solver import runtime_counters
     from repro.testing.faults import faults_armed, inject_faults
 
     knobs = dict(knobs or {})
@@ -214,77 +222,40 @@ def run_engine(
     certificate: Optional[Dict[str, Any]] = None
     details: Dict[str, Any] = {}
     fault_events: List[Dict[str, Any]] = []
-    counters_before = runtime_counters()
     start = time.monotonic()
-    try:
-        # The fault-injection point: inside the timed region (a ``slow``
-        # fault must trip the soft-timeout policy exactly like a slow
-        # engine), before the engine runs (a ``crash`` kills the leg, not
-        # half a solve).  Raising kinds propagate to ``execute_request``'s
-        # error handling.
-        if faults_armed(tags):
-            fault_events = inject_faults(engine_name, tags)
-        if kind == "solve":
-            result = engine.solve(problem)
-            verdict = result.verdict
-            num_examples = result.num_examples
-            iterations = result.iterations
-            witness = result.examples
-            details = result.details
-            certificate = result.certificate
-            if result.solution is not None:
-                solution = result.solution.to_sexpr()
-        else:
-            result = engine.check(problem, examples)
-            verdict = result.verdict
+    with recording(*STAT_KEYS) as solver_stats:
+        try:
+            # The fault-injection point: inside the timed region (a ``slow``
+            # fault must trip the soft-timeout policy exactly like a slow
+            # engine), before the engine runs (a ``crash`` kills the leg, not
+            # half a solve).  Raising kinds propagate to ``execute_request``'s
+            # error handling.
+            if faults_armed(tags):
+                fault_events = inject_faults(engine_name, tags)
+            if kind == "solve":
+                result = engine.solve(problem)
+                verdict = result.verdict
+                num_examples = result.num_examples
+                iterations = result.iterations
+                witness = result.examples
+                details = result.details
+                certificate = result.certificate
+                if result.solution is not None:
+                    solution = result.solution.to_sexpr()
+            else:
+                result = engine.check(problem, examples)
+                verdict = result.verdict
+                num_examples = len(examples)
+                witness = examples
+                details = result.details
+                certificate = result.certificate
+        except SolverLimitError as error:
+            verdict = Verdict.TIMEOUT
             num_examples = len(examples)
             witness = examples
-            details = result.details
-            certificate = result.certificate
-    except SolverLimitError as error:
-        verdict = Verdict.TIMEOUT
-        num_examples = len(examples)
-        witness = examples
-        details = {"limit": str(error)}
+            details = {"limit": str(error)}
     elapsed = time.monotonic() - start
     verdict = apply_timeout_policy(verdict, elapsed, timeout)
-    # What the logic core did for this run: the counters are process-wide
-    # and monotone, so the before/after delta is exactly this engine's work
-    # (each batch worker / portfolio leg runs in its own process).  The one
-    # multi-threaded consumer is ``serve`` (ThreadingHTTPServer): two
-    # overlapping requests there share the counters, so their solver_stats
-    # are approximate — acceptable for diagnostic counters.
-    solver_stats = {
-        key: value - counters_before.get(key, 0)
-        for key, value in runtime_counters().items()
-    }
-    # Domains surface their effective knobs (e.g. the powerset example cap)
-    # through details["domain_stats"]; fold the integer entries into
-    # solver_stats so clients see them next to the logic-core counters.
-    if isinstance(details, dict):
-        domain_stats = details.pop("domain_stats", None)
-        if isinstance(domain_stats, dict):
-            solver_stats.update(
-                {
-                    key: value
-                    for key, value in domain_stats.items()
-                    if isinstance(value, int)
-                }
-            )
-        # Grammar-reduction counters surface the same way: a check sets
-        # details["grammar_stats"], a CEGIS solve nests it under
-        # details["check"] (the last unrealizability check's details).
-        grammar_counters = details.pop("grammar_stats", None)
-        if grammar_counters is None and isinstance(details.get("check"), dict):
-            grammar_counters = details["check"].pop("grammar_stats", None)
-        if isinstance(grammar_counters, dict):
-            solver_stats.update(
-                {
-                    key: value
-                    for key, value in grammar_counters.items()
-                    if isinstance(value, int)
-                }
-            )
     # Every attached certificate was already accepted by the independent
     # checker at build time (the builders refuse to ship anything else), so
     # its presence is what the counters record.

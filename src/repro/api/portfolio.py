@@ -356,6 +356,7 @@ def solve_staged(request: SolveRequest) -> SolveResponse:
                 timeout=remaining,
                 seed=request.seed,
                 max_iterations=request.max_iterations,
+                tags=request.tags,
             )
         except ReproError as error:  # e.g. an unknown engine in the pool
             response = error_response(str(error), request, engine=name)

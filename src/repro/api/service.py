@@ -62,6 +62,7 @@ Example::
 from __future__ import annotations
 
 import json
+import signal
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
@@ -374,7 +375,9 @@ def serve(
     supervised worker processes (``None`` = the
     :func:`~repro.engine.supervisor.default_worker_count`; ``0`` disables
     the fabric and solves in handler threads/processes as before), with the
-    liveness heartbeat running.  The fabric is shut down on exit.
+    liveness heartbeat running.  The fabric is shut down on exit: SIGTERM
+    and SIGINT both stop the server and the fabric (SIGTERM is routed to
+    SIGINT's path while ``serve`` runs in the main thread).
 
     The persistent result store is the ambient one
     (:func:`~repro.engine.store.get_result_store`: the CLI's ``--store``, or
@@ -409,11 +412,19 @@ def serve(
         f"{fabric_note}; {store_note})",
         flush=True,
     )
+    # Without this, SIGTERM ends the process before the ``finally`` below
+    # and the idle workers outlive it.  Installed after the fabric started,
+    # so no forked worker inherits it.
+    in_main_thread = threading.current_thread() is threading.main_thread()
+    if in_main_thread:
+        previous_term = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
+        if in_main_thread:
+            signal.signal(signal.SIGTERM, previous_term or signal.SIG_DFL)
         server.server_close()
         shutdown_fabric()
     return 0

@@ -186,10 +186,12 @@ class SolveResponse:
     solution: Optional[str] = None
     grammar: Dict[str, int] = field(default_factory=dict)
     spec: Optional[str] = None
-    #: Work the logic core did for this response (schema version 2): theory
-    #: query counts, lemma hits, logic-cache hits, simplex pivots, etc. —
-    #: the delta of :func:`repro.logic.solver.runtime_counters` around the
-    #: engine run.  Empty for version-1 payloads and error responses.
+    #: Work done for this response (schema version 2): the logic core's
+    #: theory query counts, lemma hits, logic-cache hits, simplex pivots,
+    #: etc., plus the ``grammar_*``/``powerset_*``/enumerator entries the
+    #: layers report — what the engine run recorded in its own
+    #: :func:`repro.utils.stats.recording` scope, so exact per request.
+    #: Empty for version-1 payloads and error responses.
     #: The solve fabric (:mod:`repro.engine.supervisor`) adds its resilience
     #: counters here *additively* (no schema bump, absent on clean runs):
     #: ``retries`` / ``workers_replaced`` / ``breaker_trips`` when a request

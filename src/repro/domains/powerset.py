@@ -33,6 +33,7 @@ from repro.sygus.spec import Specification
 from repro.unreal.result import CheckResult, Verdict
 from repro.utils.columns import PYTHON_OPS, ColumnOverflowError, active_ops
 from repro.utils.errors import SemanticsError
+from repro.utils.stats import note
 from repro.utils.vectors import BoolVector, IntVector
 
 #: Default cap on the vectors a single nonterminal's set may hold before the
@@ -191,22 +192,19 @@ class ExamplePowersetDomain(ExampleVectorDomain):
 
     # -- the check -------------------------------------------------------------
 
-    def _domain_stats(self) -> dict:
-        """Effective knobs, surfaced into ``solver_stats`` by the facade."""
-        return {
-            "powerset_max_examples": self.max_examples,
-            "powerset_cap": self.cap,
-        }
+    def _note_knobs(self) -> None:
+        """Report the effective knobs in the request's ``solver_stats``."""
+        note({"powerset_max_examples": self.max_examples, "powerset_cap": self.cap})
 
     def pre_check(self, examples: ExampleSet) -> Optional[CheckResult]:
         if len(examples) > self.max_examples:
+            self._note_knobs()
             return CheckResult(
                 verdict=Verdict.UNKNOWN,
                 examples=examples,
                 details={
                     "reason": "example set exceeds the powerset budget",
                     "max_examples": self.max_examples,
-                    "domain_stats": self._domain_stats(),
                 },
             )
         return None
@@ -216,10 +214,10 @@ class ExamplePowersetDomain(ExampleVectorDomain):
     ) -> CheckResult:
         if not isinstance(start_value, VectorSet):
             raise SemanticsError("the start nonterminal must be integer-sorted")
+        self._note_knobs()
         details = {
             "behaviors": "TOP" if start_value.is_top else len(start_value),
             "exact": not self.lost_exactness,
-            "domain_stats": self._domain_stats(),
         }
         if start_value.is_top:
             return CheckResult(

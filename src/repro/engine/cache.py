@@ -43,7 +43,7 @@ from repro.gfa.equations import EquationSystem
 from repro.grammar.automaton import PruneReport, prune_grammar
 from repro.grammar.rtg import RegularTreeGrammar
 from repro.grammar.transforms import normalize_for_gfa
-from repro.logic.solver import clear_logic_caches, logic_cache_stats, runtime_counters
+from repro.logic.solver import clear_logic_caches, logic_cache_stats
 from repro.semantics.examples import ExampleSet
 from repro.utils.intern import intern_stats
 
@@ -222,14 +222,14 @@ def runtime_cache_stats() -> dict:
     Combines the GFA construction cache (this module), the semi-linear
     simplification/subsumption memos (:mod:`repro.domains.semilinear`), the
     hash-consing intern tables (:mod:`repro.utils.intern`), and the DPLL(T)
-    core's query cache / lemma store plus its cumulative work counters
-    (:mod:`repro.logic.solver`) — the ``repro-nay bench`` harness records
-    this next to its timings.
+    core's query/formula caches and lemma store (:mod:`repro.logic.solver`)
+    — the ``repro-nay bench`` harness records this next to its timings.
+    Work counters are per request, not process-wide: see
+    :mod:`repro.utils.stats`.
     """
     return {
         "gfa": _DEFAULT_CACHE.stats.as_dict(),
         "semilinear": semilinear_cache_stats(),
         "intern": intern_stats(),
         "logic": logic_cache_stats(),
-        "logic_counters": runtime_counters(),
     }

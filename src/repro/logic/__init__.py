@@ -58,7 +58,6 @@ from repro.logic.solver import (
     is_valid,
     logic_cache_stats,
     record_queries,
-    runtime_counters,
 )
 
 __all__ = [
@@ -89,6 +88,5 @@ __all__ = [
     "is_valid",
     "logic_cache_stats",
     "record_queries",
-    "runtime_counters",
     "Model",
 ]

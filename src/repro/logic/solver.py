@@ -57,6 +57,7 @@ from repro.logic.formulas import (
 from repro.logic.ilp import DEFAULT_NODE_LIMIT, solve_conjunction
 from repro.logic.rewrites import simplify, to_nnf
 from repro.utils.errors import SolverError
+from repro.utils.stats import count
 
 Model = Dict[str, int]
 
@@ -92,7 +93,7 @@ class SatResult:
         return self.status == SatStatus.UNSAT
 
 
-#: The per-call (and process-wide) counter names, in reporting order.
+#: The per-call counter names, in reporting order.
 STAT_KEYS = (
     "sat_checks",
     "formula_cache_hits",
@@ -309,18 +310,6 @@ _QUERY_CACHE = LogicQueryCache()
 #: keyed (formulas hash by value), bounded, cleared with the other stores.
 _FORMULA_CACHE = _BoundedLru(max_entries=8192)
 
-_COUNTERS: Dict[str, int] = {key: 0 for key in STAT_KEYS}
-
-
-def runtime_counters() -> Dict[str, int]:
-    """A snapshot of the process-wide solver work counters.
-
-    :func:`repro.api.facade.run_engine` diffs two snapshots around an engine
-    run to report per-response solver statistics.
-    """
-    return dict(_COUNTERS)
-
-
 def logic_cache_stats() -> Dict[str, Dict[str, int]]:
     """Hit/miss statistics of the query/formula caches and the lemma store."""
     return {
@@ -379,49 +368,36 @@ def record_queries(sink: List[Formula]):
 # ---------------------------------------------------------------------------
 
 
-def check_sat(
-    formula: Formula,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-    *,
-    learn: bool = True,
-    cache: bool = True,
-) -> SatResult:
-    """Decide satisfiability of a QF-LIA formula over the integers.
-
-    ``learn``/``cache`` exist for ablation benchmarks; production callers
-    leave them on.
-    """
+def check_sat(formula: Formula, node_limit: int = DEFAULT_NODE_LIMIT) -> SatResult:
+    """Decide satisfiability of a QF-LIA formula over the integers."""
     for sink in _RECORDERS:
         sink.append(formula)
-    if cache:
-        key = (formula, node_limit)
-        hit = _FORMULA_CACHE.lookup(key)
-        if hit is not None:
-            return _cached_result(hit)
+    key = (formula, node_limit)
+    hit = _FORMULA_CACHE.lookup(key)
+    if hit is not None:
+        return _cached_result(hit)
     # NNF only: the trail search consumes BoolLit/And/Or/Atom directly (in
     # any nesting), and smart-constructed formulas are already folded, so
     # the historical extra simplify() pass would just rebuild the tree.
     prepared = to_nnf(formula)
-    result = _solve([prepared], node_limit, learn=learn, cache=cache)
+    result = _solve([prepared], node_limit)
     if result.is_sat:
         # The theory core only assigns variables that occur in atoms on the
         # satisfied branch; give every other variable a default value so
         # that ``formula.evaluate(model)`` is total.
         for name in formula.variables():
             result.model.setdefault(name, 0)
-    if cache:
-        _FORMULA_CACHE.store(
-            key,
-            (result.status, dict(result.model) if result.model is not None else None),
-        )
+    _FORMULA_CACHE.store(
+        key,
+        (result.status, dict(result.model) if result.model is not None else None),
+    )
     return result
 
 
 def _cached_result(hit) -> SatResult:
     status, model = hit
     statistics = {"sat_checks": 1, "formula_cache_hits": 1}
-    _COUNTERS["sat_checks"] += 1
-    _COUNTERS["formula_cache_hits"] += 1
+    count(statistics)
     return SatResult(status, dict(model) if model is not None else None, statistics)
 
 
@@ -519,9 +495,7 @@ class SolverContext:
         hit = _FORMULA_CACHE.lookup(key)
         if hit is not None:
             return _cached_result(hit)
-        result = _solve(
-            list(self._assertions) + extra, self.node_limit, learn=True, cache=True
-        )
+        result = _solve(list(self._assertions) + extra, self.node_limit)
         if result.is_sat:
             for name in self.variables():
                 result.model.setdefault(name, 0)
@@ -540,12 +514,19 @@ class SolverContext:
 # ---------------------------------------------------------------------------
 
 
-def _solve(
-    roots: List[Formula],
-    node_limit: int,
-    *,
-    learn: bool,
-    cache: bool,
+def _solve(roots: List[Formula], node_limit: int) -> SatResult:
+    """One search, counted into the open stats scope even when the node
+    limit stops it."""
+    statistics = {key: 0 for key in STAT_KEYS}
+    statistics["sat_checks"] = 1
+    try:
+        return _search(roots, node_limit, statistics)
+    finally:
+        count(statistics)
+
+
+def _search(
+    roots: List[Formula], node_limit: int, statistics: Dict[str, int]
 ) -> SatResult:
     """Iterative DFS over Boolean structure with an explicit decision stack.
 
@@ -553,10 +534,6 @@ def _solve(
     decision was taken plus the trail length to restore; backtracking pops
     atoms off the trail and resumes with the next alternative.
     """
-    statistics = {key: 0 for key in STAT_KEYS}
-    statistics["sat_checks"] = 1
-    _COUNTERS["sat_checks"] += 1
-
     trail_atoms: List[Atom] = []
     trail_ids: List[int] = []
     trail_set: Set[int] = set()
@@ -596,7 +573,6 @@ def _solve(
                 if node.comparison == Comparison.NE:
                     # expr != 0  <=>  expr < 0  or  -expr < 0
                     statistics["branches"] += 1
-                    _COUNTERS["branches"] += 1
                     alternatives = [
                         make_atom(node.expression, Comparison.LT),
                         make_atom(-node.expression, Comparison.LT),
@@ -607,9 +583,8 @@ def _solve(
                 aid = _atom_id(node)
                 if aid in trail_set:
                     continue
-                if learn and _LEMMAS.blocked(trail_set, aid):
+                if _LEMMAS.blocked(trail_set, aid):
                     statistics["lemma_hits"] += 1
-                    _COUNTERS["lemma_hits"] += 1
                     if not backtrack():
                         return SatResult(SatStatus.UNSAT, None, statistics)
                     continue
@@ -622,7 +597,6 @@ def _solve(
                 continue
             if isinstance(node, Or):
                 statistics["branches"] += 1
-                _COUNTERS["branches"] += 1
                 alternatives = list(node.operands)
                 decisions.append([pending[:], len(trail_ids), alternatives, 1])
                 pending.append(alternatives[0])
@@ -632,9 +606,7 @@ def _solve(
             raise SolverError(f"unknown formula node {type(node).__name__}")
 
         # Boolean leaf: the trail conjunction goes to the theory core.
-        model = _theory_leaf(
-            trail_atoms, trail_ids, trail_set, node_limit, learn, cache, statistics
-        )
+        model = _theory_leaf(trail_atoms, trail_ids, trail_set, node_limit, statistics)
         if model is not None:
             return SatResult(SatStatus.SAT, model, statistics)
         if not backtrack():
@@ -646,52 +618,39 @@ def _theory_leaf(
     trail_ids: List[int],
     trail_set: Set[int],
     node_limit: int,
-    learn: bool,
-    cache: bool,
     statistics: Dict[str, int],
 ) -> Optional[Model]:
     """One conjunction-level feasibility query, through lemmas and cache."""
-    if learn and _LEMMAS.conflicts(trail_set):
+    if _LEMMAS.conflicts(trail_set):
         statistics["lemma_hits"] += 1
-        _COUNTERS["lemma_hits"] += 1
         return None
 
     statistics["theory_queries"] += 1
-    _COUNTERS["theory_queries"] += 1
     key = tuple(sorted(trail_ids))
 
-    if cache:
-        hit = _QUERY_CACHE.lookup(key)
-        if hit is not None:
-            statistics["theory_cache_hits"] += 1
-            _COUNTERS["theory_cache_hits"] += 1
-            kind, payload = hit
-            if kind == "sat":
-                return dict(payload)
-            if learn and payload:
-                _LEMMAS.add(frozenset(_atom_id(atom) for atom in payload))
-            return None
+    hit = _QUERY_CACHE.lookup(key)
+    if hit is not None:
+        statistics["theory_cache_hits"] += 1
+        kind, payload = hit
+        if kind == "sat":
+            return dict(payload)
+        if payload:
+            _LEMMAS.add(frozenset(_atom_id(atom) for atom in payload))
+        return None
 
-    outcome = solve_conjunction(trail_atoms, node_limit, minimize_core=learn)
-    for local_key, value in (
-        ("bb_nodes", outcome.nodes),
-        ("simplex_pivots", outcome.pivots),
-        ("propagations", outcome.propagations),
-        ("core_probes", outcome.core_probes),
-    ):
-        statistics[local_key] += value
-        _COUNTERS[local_key] += value
+    outcome = solve_conjunction(trail_atoms, node_limit)
+    statistics["bb_nodes"] += outcome.nodes
+    statistics["simplex_pivots"] += outcome.pivots
+    statistics["propagations"] += outcome.propagations
+    statistics["core_probes"] += outcome.core_probes
 
     if outcome.model is not None:
-        if cache:
-            _QUERY_CACHE.store(key, ("sat", dict(outcome.model)))
+        _QUERY_CACHE.store(key, ("sat", dict(outcome.model)))
         return dict(outcome.model)
 
     core = outcome.core if outcome.core is not None else tuple(trail_atoms)
-    if cache:
-        _QUERY_CACHE.store(key, ("unsat", core))
-    if learn and core:
+    _QUERY_CACHE.store(key, ("unsat", core))
+    if core:
         statistics["lemmas_learned"] += 1
-        _COUNTERS["lemmas_learned"] += 1
         _LEMMAS.add(frozenset(_atom_id(atom) for atom in core))
     return None

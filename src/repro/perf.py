@@ -68,7 +68,7 @@ from repro.grammar import alphabet as alph
 from repro.grammar.terms import Term
 from repro.logic.formulas import Formula
 from repro.logic.reference import reference_check_sat
-from repro.logic.solver import check_sat, record_queries, runtime_counters
+from repro.logic.solver import check_sat, record_queries
 from repro.semantics.evaluator import EvalMemo, evaluate
 from repro.semantics.reference import reference_evaluate
 from repro.unreal.approximate import check_examples_abstract, solve_abstract_gfa
@@ -82,6 +82,7 @@ from repro.suites.scaling import (
 )
 from repro.utils.columns import NUMPY_OPS, use_backend
 from repro.utils.errors import ReproError
+from repro.utils.stats import recording
 
 Report = Dict[str, object]
 
@@ -547,11 +548,10 @@ def _run_logic(repetitions: int, quick: bool) -> Report:
         # Differential guard before timing: both stacks must agree on every
         # query, otherwise the bench result would be comparing wrong answers.
         # The incremental replay starts from cold caches, like every timed
-        # one, so its counter delta is the work each timed replay does.
+        # one, so what it records is the work each timed replay does.
         clear_cache()
-        before = runtime_counters()
-        verdicts = _replay_incremental(stream)
-        after = runtime_counters()
+        with recording(*_LOGIC_STAT_KEYS) as counted:
+            verdicts = _replay_incremental(stream)
         if verdicts != _replay_reference(stream):
             raise ReproError(f"solver verdict mismatch replaying workload {name!r}")
         seconds = _time_legs(
@@ -565,7 +565,7 @@ def _run_logic(repetitions: int, quick: bool) -> Report:
             seconds["incremental"],
             "queries_per_second",
             len(stream),
-            stats={key: after[key] - before.get(key, 0) for key in _LOGIC_STAT_KEYS},
+            stats={key: counted[key] for key in _LOGIC_STAT_KEYS},
         )
         reference = _cell(seconds["reference"], "queries_per_second", len(stream))
         rows.append(

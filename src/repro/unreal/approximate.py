@@ -45,6 +45,7 @@ from repro.unreal.certificates import (
 )
 from repro.unreal.result import CheckResult, Verdict
 from repro.utils.errors import SolverLimitError
+from repro.utils.stats import note
 
 #: The abstraction used when no domain is requested: the interval x
 #: congruence reduced product the repo has always shipped.
@@ -186,7 +187,7 @@ def check_examples_abstract(
     result.details["gfa_evaluations"] = solution.evaluations
     result.details["domain"] = abstraction.name
     if solution.prune_report is not None:
-        result.details["grammar_stats"] = solution.prune_report.counters()
+        note(solution.prune_report.counters())
     return result
 
 

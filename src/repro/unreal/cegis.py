@@ -33,6 +33,7 @@ from repro.unreal.clia import check_clia_examples
 from repro.unreal.lia import check_lia_examples
 from repro.unreal.result import CegisResult, CheckResult, Verdict
 from repro.utils.errors import SolverLimitError
+from repro.utils.stats import count
 from repro.utils.timing import Stopwatch
 
 
@@ -116,30 +117,28 @@ class NaySolver:
             )
         random_examples = ExampleSet()
 
-        #: Cumulative enumerator OE-dedup count across rounds, surfaced as
-        #: the ``enumerator_candidates_deduped`` solver stat.
-        deduped = 0
+        # The enumerator's OE-dedup count, summed over the rounds; every
+        # solve reports it, zero or not.
+        count({"enumerator_candidates_deduped": 0})
         iterations = 0
         for iterations in range(1, config.max_iterations + 1):
             if stopwatch.expired():
-                return self._timeout(examples, iterations, stopwatch, deduped)
+                return self._timeout(examples, iterations, stopwatch)
 
             # Thread 2 of Alg. 2: the unrealizability check on E ∪ Er.
             check_set = examples.union(random_examples)
             try:
                 check = self.check_examples(problem, check_set)
             except SolverLimitError:
-                return self._timeout(examples, iterations, stopwatch, deduped)
+                return self._timeout(examples, iterations, stopwatch)
             if check.verdict == Verdict.UNREALIZABLE:
-                grammar_stats = dict(check.details.pop("grammar_stats", None) or {})
-                grammar_stats["enumerator_candidates_deduped"] = deduped
                 return CegisResult(
                     verdict=Verdict.UNREALIZABLE,
                     examples=check_set,
                     iterations=iterations,
                     elapsed_seconds=stopwatch.elapsed(),
                     num_examples=len(check_set),
-                    details={"check": check.details, "grammar_stats": grammar_stats},
+                    details={"check": check.details},
                     certificate=check.certificate,
                 )
 
@@ -147,7 +146,8 @@ class NaySolver:
             outcome = self.synthesizer.synthesize(problem, examples)
             if isinstance(outcome.details, dict):
                 # "deduped" is the per-call delta (cached rounds report 0).
-                deduped += int(outcome.details.get("deduped", 0) or 0)
+                deduped = int(outcome.details.get("deduped", 0) or 0)
+                count({"enumerator_candidates_deduped": deduped})
             if outcome.found:
                 verification = self.verifier.verify(problem, outcome.solution)
                 if verification.is_valid:
@@ -158,11 +158,6 @@ class NaySolver:
                         iterations=iterations,
                         elapsed_seconds=stopwatch.elapsed(),
                         num_examples=len(examples),
-                        details={
-                            "grammar_stats": {
-                                "enumerator_candidates_deduped": deduped
-                            }
-                        },
                     )
                 examples = examples.extended(verification.counterexample)
                 continue
@@ -170,21 +165,17 @@ class NaySolver:
             # The check says realizable/unknown on the current examples and the
             # synthesizer ran out of budget: add a random temporary example.
             if len(random_examples) >= config.max_random_examples:
-                return self._timeout(examples, iterations, stopwatch, deduped)
+                return self._timeout(examples, iterations, stopwatch)
             random_examples = random_examples.union(
                 ExampleSet.random(
                     problem.variables, 1, rng, config.example_low, config.example_high
                 )
             )
 
-        return self._timeout(examples, iterations, stopwatch, deduped)
+        return self._timeout(examples, iterations, stopwatch)
 
     def _timeout(
-        self,
-        examples: ExampleSet,
-        iterations: int,
-        stopwatch: Stopwatch,
-        deduped: int = 0,
+        self, examples: ExampleSet, iterations: int, stopwatch: Stopwatch
     ) -> CegisResult:
         return CegisResult(
             verdict=Verdict.TIMEOUT,
@@ -192,7 +183,4 @@ class NaySolver:
             iterations=iterations,
             elapsed_seconds=stopwatch.elapsed(),
             num_examples=len(examples),
-            details={
-                "grammar_stats": {"enumerator_candidates_deduped": deduped}
-            },
         )

@@ -54,6 +54,7 @@ from repro.unreal.certificates import (
 from repro.unreal.check import check_unrealizable
 from repro.unreal.result import CheckResult, Verdict
 from repro.utils.errors import SolverLimitError, UnsupportedFeatureError
+from repro.utils.stats import note
 from repro.utils.vectors import BoolVector
 
 
@@ -282,7 +283,7 @@ def check_clia_examples(
     result.details["outer_iterations"] = gfa.outer_iterations
     result.details["gfa_evaluations"] = gfa.evaluations
     if gfa.prune_report is not None:
-        result.details["grammar_stats"] = gfa.prune_report.counters()
+        note(gfa.prune_report.counters())
     result.details["boolean_values"] = {
         str(nt): str(value) for nt, value in gfa.boolean_values.items()
     }

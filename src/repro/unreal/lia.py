@@ -35,6 +35,7 @@ from repro.unreal.certificates import (
 from repro.unreal.check import check_unrealizable
 from repro.unreal.result import CheckResult, Verdict
 from repro.utils.errors import UnsupportedFeatureError
+from repro.utils.stats import note
 
 
 @dataclass
@@ -133,7 +134,7 @@ def check_lia_examples(
     result.details["gfa_seconds"] = gfa.solve_seconds
     result.details["gfa_evaluations"] = gfa.evaluations
     if gfa.prune_report is not None:
-        result.details["grammar_stats"] = gfa.prune_report.counters()
+        note(gfa.prune_report.counters())
     return result
 
 

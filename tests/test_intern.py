@@ -159,13 +159,7 @@ class TestMemoTables:
             assert name in stats
             assert set(stats[name]) == {"live", "hits", "misses"}
         combined = runtime_cache_stats()
-        assert set(combined) == {
-            "gfa",
-            "semilinear",
-            "intern",
-            "logic",
-            "logic_counters",
-        }
+        assert set(combined) == {"gfa", "semilinear", "intern", "logic"}
         assert set(combined["semilinear"]) == {
             "simplify",
             "subsumes",

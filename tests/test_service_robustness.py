@@ -12,11 +12,15 @@ from __future__ import annotations
 import http.client
 import json
 import os
+import re
 import signal
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +40,8 @@ from repro.engine.supervisor import (
 from repro.suites import get_benchmark
 from repro.sygus import print_sygus
 from repro.testing.faults import reset_fault_state
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(autouse=True)
@@ -502,6 +508,50 @@ class TestServeWithFabric:
         finally:
             _stop(server, thread)
             shutdown_fabric()
+
+    def test_sigterm_stops_the_fabric_workers(self):
+        """``repro-nay serve`` ended with SIGTERM takes its idle fabric
+        workers with it, as it does on SIGINT."""
+
+        def alive(pid):
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                return False
+            return True
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--workers", "1"],
+            env=env,
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        worker_pids = []
+        try:
+            banner = server.stdout.readline()
+            port = int(re.search(r"http://[^:]+:(\d+)", banner).group(1))
+            with urllib.request.urlopen(
+                f"http://127.0.0.1:{port}/healthz", timeout=30
+            ) as reply:
+                worker_pids = json.load(reply)["fabric"]["worker_pids"]
+            assert worker_pids
+            server.terminate()
+            server.wait(timeout=30)
+            deadline = time.monotonic() + 5.0
+            while any(map(alive, worker_pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(alive, worker_pids)), worker_pids
+        finally:
+            server.kill()
+            server.wait(timeout=30)
+            server.stdout.close()
+            for pid in filter(alive, worker_pids):
+                os.kill(pid, signal.SIGKILL)
 
 
 class TestStoreDoor:

@@ -120,6 +120,22 @@ class TestStagedExecution:
         assert response.verdict == "unrealizable"
         assert response.engine == "nayInt"
 
+    def test_stages_see_the_prune_tag(self):
+        # plane1 is decided by the nayInt stage, which must run pruned.
+        tags = {"prune": "oe"}
+        staged = Solver(engine=STAGED_ENGINE).check("plane1", tags=tags)
+        single = Solver(engine="nayInt").check("plane1", tags=tags)
+        assert staged.engine == "nayInt"
+        assert staged.solver_stats["grammar_states"] == (
+            single.solver_stats["grammar_states"]
+        )
+
+    def test_stages_see_the_fault_plan(self):
+        tags = {"faults": "error@*"}
+        assert Solver(engine="nayInt").check("plane1", tags=tags).verdict == "error"
+        response = Solver(engine=STAGED_ENGINE).check("plane1", tags=tags)
+        assert response.verdict == "error"
+
     def test_wire_round_trip(self):
         response = execute_request(
             SolveRequest(benchmark="plane1", engine=STAGED_ENGINE)
