@@ -44,6 +44,7 @@ from typing import Dict, List, Optional
 
 from repro.api.wire import SolveRequest, SolveResponse, error_response
 from repro.engine.registry import engine_names
+from repro.utils.stats import NOTED
 
 #: Preference order for the reported outcome when no engine is definitive.
 _LOSER_ORDER = {"unknown": 0, "timeout": 1, "error": 2}
@@ -372,7 +373,10 @@ def solve_staged(request: SolveRequest) -> SolveResponse:
         breakers.for_engine(name).record_reply(response.verdict)
         exact_calls += 1 if name in EXACT_ENGINES else 0
         for key, value in response.solver_stats.items():
-            solver_stats[key] = solver_stats.get(key, 0) + value
+            if key.startswith(NOTED):
+                solver_stats[key] = value
+            else:
+                solver_stats[key] = solver_stats.get(key, 0) + value
         stages.append(
             {
                 "engine": name,

@@ -29,11 +29,11 @@ Subcommands:
   language-preserving reduction with witnesses), ``count`` (distinct terms
   per size) and ``stats`` (grammar + automaton + minimized sizes);
 * ``experiments <name>``    — shorthand for ``python -m repro.experiments``;
-* ``bench``                 — run a perf harness (``--suite fixpoint``,
-  ``logic``, ``domains``, ``grammar``, ``chaos``, ``serve`` or ``all``),
-  write its versioned ``BENCH_*.json`` artifact (a ``--quick`` run writes
-  only to ``--out``) and check the suite's gates
-  (:data:`repro.perf.SUITES`); exits 1 when a gate fails.
+* ``bench --suite S``       — run a perf harness (``domains``,
+  ``grammar``, ``chaos``, ``serve`` or ``all``), write its versioned
+  ``BENCH_*.json`` artifact (a ``--quick`` run writes only to ``--out``)
+  and check the suite's gates (:data:`repro.perf.SUITES`); exits 1 when a
+  gate fails.
 
 ``solve``/``check``/``batch``/``serve`` accept ``--store PATH`` (or the
 ``REPRO_NAY_STORE`` environment variable) to name a persistent result
@@ -325,13 +325,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     bench.add_argument(
         "--suite",
-        choices=["fixpoint", "logic", "domains", "grammar", "chaos", "serve", "all"],
-        default="fixpoint",
-        help="fixpoint: worklist-vs-dense strategies (BENCH_fixpoint.json); "
-        "logic: incremental DPLL(T) core vs the pre-rewrite solver "
-        "(BENCH_logic.json); domains: the columnar evaluation core over an "
-        "example-count sweep (BENCH_domains.json); grammar: tree-automaton "
-        "pruning + memoized-enumerator deltas (BENCH_grammar.json); chaos: "
+        choices=["domains", "grammar", "chaos", "serve", "all"],
+        required=True,
+        help="domains: the columnar evaluation core over an example-count "
+        "sweep (BENCH_domains.json); grammar: tree-automaton pruning + "
+        "memoized-enumerator deltas (BENCH_grammar.json); chaos: "
         "fault-injected resilience sweep over the solve fabric "
         "(BENCH_chaos.json); serve: concurrent-client load over the real "
         "HTTP server with the persistent result store — cold vs warm "

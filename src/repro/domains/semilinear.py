@@ -30,80 +30,26 @@ only the rest become integer-feasibility queries for the solver.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from fractions import Fraction
 from functools import reduce
 from math import gcd
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.logic.formulas import Formula, atom_eq, atom_ge, conjunction, disjunction
 from repro.logic.terms import LinearExpression
 from repro.utils.errors import SolverLimitError
 from repro.utils.intern import interner
+from repro.utils.lru import BoundedLru
 from repro.utils.vectors import BoolVector, IntVector
 
 _LINEAR_SETS = interner("LinearSet")
 _SEMILINEAR_SETS = interner("SemiLinearSet")
 
-
-class _BoundedMemo:
-    """A tiny LRU memo table with hit/miss counters.
-
-    Keys are interned domain values (hash cached, equality pointer-fast), so
-    lookups are cheap; the bound keeps long-lived server processes from
-    accumulating every simplification ever computed.  A lock serialises the
-    LRU bookkeeping — ``repro-nay serve`` solves on ThreadingHTTPServer
-    request threads, and an unlocked ``move_to_end`` can race an eviction.
-    """
-
-    __slots__ = ("name", "max_entries", "hits", "misses", "_table", "_lock")
-
-    def __init__(self, name: str, max_entries: int = 4096):
-        self.name = name
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self._table: "OrderedDict[Hashable, object]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key: Hashable):
-        with self._lock:
-            value = self._table.get(key)
-            if value is not None:
-                self._table.move_to_end(key)
-                self.hits += 1
-            else:
-                self.misses += 1
-            return value
-
-    def put(self, key: Hashable, value) -> None:
-        with self._lock:
-            self._table[key] = value
-            self._table.move_to_end(key)
-            while len(self._table) > self.max_entries:
-                self._table.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._table.clear()
-            self.hits = 0
-            self.misses = 0
-
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "entries": len(self._table),
-                "hits": self.hits,
-                "misses": self.misses,
-            }
-
-
-_SIMPLIFY_MEMO = _BoundedMemo("simplify")
-_SUBSUMES_MEMO = _BoundedMemo("subsumes", max_entries=16384)
+_SIMPLIFY_MEMO = BoundedLru(4096)
+_SUBSUMES_MEMO = BoundedLru(16384)
 #: Per-LinearSet membership solver contexts (the asserted skeleton of
 #: :meth:`LinearSet.contains`); see the method for the key/assumption split.
-_MEMBER_CONTEXTS = _BoundedMemo("member_contexts", max_entries=2048)
+_MEMBER_CONTEXTS = BoundedLru(2048)
 
 
 def semilinear_cache_stats() -> Dict[str, Dict[str, int]]:

@@ -33,19 +33,18 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable
 
 from repro.domains.clia import CliaInterpretation
-from repro.domains.semilinear import clear_semilinear_caches, semilinear_cache_stats
+from repro.domains.semilinear import clear_semilinear_caches
 from repro.gfa.builder import build_lia_equations
 from repro.gfa.equations import EquationSystem
 from repro.grammar.automaton import PruneReport, prune_grammar
 from repro.grammar.rtg import RegularTreeGrammar
 from repro.grammar.transforms import normalize_for_gfa
-from repro.logic.solver import clear_logic_caches, logic_cache_stats
+from repro.logic.solver import clear_logic_caches
 from repro.semantics.examples import ExampleSet
-from repro.utils.intern import intern_stats
 
 
 def grammar_fingerprint(grammar: RegularTreeGrammar) -> Hashable:
@@ -63,16 +62,6 @@ class CacheStats:
     equations_misses: int = 0
     prune_hits: int = 0
     prune_misses: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "normalize_hits": self.normalize_hits,
-            "normalize_misses": self.normalize_misses,
-            "equations_hits": self.equations_hits,
-            "equations_misses": self.equations_misses,
-            "prune_hits": self.prune_hits,
-            "prune_misses": self.prune_misses,
-        }
 
 
 class GfaCache:
@@ -215,21 +204,3 @@ def clear_cache() -> None:
 def cache_stats() -> CacheStats:
     return _DEFAULT_CACHE.stats
 
-
-def runtime_cache_stats() -> dict:
-    """One snapshot of every process-wide memo/intern table.
-
-    Combines the GFA construction cache (this module), the semi-linear
-    simplification/subsumption memos (:mod:`repro.domains.semilinear`), the
-    hash-consing intern tables (:mod:`repro.utils.intern`), and the DPLL(T)
-    core's query/formula caches and lemma store (:mod:`repro.logic.solver`)
-    — the ``repro-nay bench`` harness records this next to its timings.
-    Work counters are per request, not process-wide: see
-    :mod:`repro.utils.stats`.
-    """
-    return {
-        "gfa": _DEFAULT_CACHE.stats.as_dict(),
-        "semilinear": semilinear_cache_stats(),
-        "intern": intern_stats(),
-        "logic": logic_cache_stats(),
-    }

@@ -4,15 +4,12 @@ This module is the solver stack exactly as it existed before the DPLL(T)
 rewrite: a recursive depth-first search over the Boolean structure, a
 from-scratch branch-and-bound per conjunction (first-fractional branching,
 no warm starts, no lemma learning), and a per-cell ``Fraction`` Phase-I
-simplex.  It exists for two reasons:
-
-* **differential testing** — the rewritten solver must agree with this one
-  on every formula (``tests/test_logic_core.py`` pits them against each
-  other and against brute-force enumeration);
-* **benchmarking** — the ``logic`` perf suite (:mod:`repro.perf`) replays
-  recorded query streams through both stacks *in the same run*, so the
-  reported speedups compare the incremental core against this exact
-  baseline on the same machine and interpreter state.
+simplex.  It exists as a differential oracle: the rewritten solver must
+agree with this one on every formula.  ``tests/test_logic_core.py`` pits
+them against each other and against brute-force enumeration, on random
+formulas and on the query streams of real naySL checks captured with
+:func:`repro.logic.solver.record_queries`.  The speedup of the rewrite over
+this baseline is on record in CHANGES.md (PR 4).
 
 Nothing in the production pipeline imports this module; it shares only the
 formula/term data types and the Diophantine equality elimination (which the

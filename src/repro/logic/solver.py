@@ -25,8 +25,8 @@ Three layers of reuse sit on top of the bare search:
   subsumption / CLIA / CEGIS pipelines hit instead of re-solving.  The
   cache pickles by converting entries to structural atom keys and
   re-interning on load, so it can cross a process boundary.
-  :mod:`repro.engine.cache` exposes ``clear_cache()`` /
-  ``runtime_cache_stats()`` over both structures.
+  :func:`repro.engine.cache.clear_cache` clears both structures, and
+  :func:`logic_cache_stats` reports them.
 
 * **:class:`SolverContext`** — push/pop assertion scopes with
   solve-under-assumptions.  Callers assert their fixed constraint skeleton
@@ -41,7 +41,7 @@ import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.logic.formulas import (
     And,
@@ -57,6 +57,7 @@ from repro.logic.formulas import (
 from repro.logic.ilp import DEFAULT_NODE_LIMIT, solve_conjunction
 from repro.logic.rewrites import simplify, to_nnf
 from repro.utils.errors import SolverError
+from repro.utils.lru import BoundedLru
 from repro.utils.stats import count
 
 Model = Dict[str, int]
@@ -231,48 +232,7 @@ class LemmaStore:
 # ---------------------------------------------------------------------------
 
 
-class _BoundedLru:
-    """A locked, bounded LRU with hit/miss counters (shared cache shape)."""
-
-    def __init__(self, max_entries: int):
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self._table: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def lookup(self, key):
-        with self._lock:
-            value = self._table.get(key)
-            if value is not None:
-                self._table.move_to_end(key)
-                self.hits += 1
-            else:
-                self.misses += 1
-            return value
-
-    def store(self, key, value) -> None:
-        with self._lock:
-            self._table[key] = value
-            self._table.move_to_end(key)
-            while len(self._table) > self.max_entries:
-                self._table.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._table.clear()
-            self.hits = 0
-            self.misses = 0
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "entries": len(self._table),
-            "hits": self.hits,
-            "misses": self.misses,
-        }
-
-
-class LogicQueryCache(_BoundedLru):
+class LogicQueryCache(BoundedLru):
     """Bounded LRU over theory-conjunction verdicts.
 
     In-process keys are sorted atom-id tuples (cheap); pickling converts
@@ -308,7 +268,7 @@ _QUERY_CACHE = LogicQueryCache()
 #: re-ask byte-identical property/membership formulas across cells, and a
 #: hit skips normalization and the Boolean search outright.  Structurally
 #: keyed (formulas hash by value), bounded, cleared with the other stores.
-_FORMULA_CACHE = _BoundedLru(max_entries=8192)
+_FORMULA_CACHE = BoundedLru(8192)
 
 def logic_cache_stats() -> Dict[str, Dict[str, int]]:
     """Hit/miss statistics of the query/formula caches and the lemma store."""
@@ -336,7 +296,7 @@ def clear_logic_caches() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Query recording (used by the perf harness)
+# Query recording (used by the differential tests)
 # ---------------------------------------------------------------------------
 
 _RECORDERS: List[List[Formula]] = []
@@ -346,10 +306,10 @@ _RECORDERS: List[List[Formula]] = []
 def record_queries(sink: List[Formula]):
     """Capture every top-level formula the solver is asked about.
 
-    The ``logic`` bench suite records the query stream of a real workload
-    (e.g. the fig2 exact-Newton subsumption checks) and replays it through
-    both this solver and the preserved pre-rewrite one, so speedups compare
-    identical query sequences.
+    The tier-1 tests record the query stream of a real workload (a naySL
+    benchmark check) and replay it through both this solver and the
+    preserved pre-rewrite one (:mod:`repro.logic.reference`), which must
+    agree on every query.
     """
     _RECORDERS.append(sink)
     try:
@@ -373,7 +333,7 @@ def check_sat(formula: Formula, node_limit: int = DEFAULT_NODE_LIMIT) -> SatResu
     for sink in _RECORDERS:
         sink.append(formula)
     key = (formula, node_limit)
-    hit = _FORMULA_CACHE.lookup(key)
+    hit = _FORMULA_CACHE.get(key)
     if hit is not None:
         return _cached_result(hit)
     # NNF only: the trail search consumes BoolLit/And/Or/Atom directly (in
@@ -387,7 +347,7 @@ def check_sat(formula: Formula, node_limit: int = DEFAULT_NODE_LIMIT) -> SatResu
         # that ``formula.evaluate(model)`` is total.
         for name in formula.variables():
             result.model.setdefault(name, 0)
-    _FORMULA_CACHE.store(
+    _FORMULA_CACHE.put(
         key,
         (result.status, dict(result.model) if result.model is not None else None),
     )
@@ -492,7 +452,7 @@ class SolverContext:
             for sink in _RECORDERS:
                 sink.append(recorded)
         key = (tuple(self._assertions), tuple(extra), self.node_limit)
-        hit = _FORMULA_CACHE.lookup(key)
+        hit = _FORMULA_CACHE.get(key)
         if hit is not None:
             return _cached_result(hit)
         result = _solve(list(self._assertions) + extra, self.node_limit)
@@ -502,7 +462,7 @@ class SolverContext:
             for formula in extra:
                 for name in formula.variables():
                     result.model.setdefault(name, 0)
-        _FORMULA_CACHE.store(
+        _FORMULA_CACHE.put(
             key,
             (result.status, dict(result.model) if result.model is not None else None),
         )
@@ -628,7 +588,7 @@ def _theory_leaf(
     statistics["theory_queries"] += 1
     key = tuple(sorted(trail_ids))
 
-    hit = _QUERY_CACHE.lookup(key)
+    hit = _QUERY_CACHE.get(key)
     if hit is not None:
         statistics["theory_cache_hits"] += 1
         kind, payload = hit
@@ -645,11 +605,11 @@ def _theory_leaf(
     statistics["core_probes"] += outcome.core_probes
 
     if outcome.model is not None:
-        _QUERY_CACHE.store(key, ("sat", dict(outcome.model)))
+        _QUERY_CACHE.put(key, ("sat", dict(outcome.model)))
         return dict(outcome.model)
 
     core = outcome.core if outcome.core is not None else tuple(trail_atoms)
-    _QUERY_CACHE.store(key, ("unsat", core))
+    _QUERY_CACHE.put(key, ("unsat", core))
     if core:
         statistics["lemmas_learned"] += 1
         _LEMMAS.add(frozenset(_atom_id(atom) for atom in core))

@@ -1,18 +1,8 @@
 """The repeatable perf harnesses behind ``repro-nay bench``.
 
-Six suites live here, one entry each in :data:`SUITES`, selected with
+Four suites live here, one entry each in :data:`SUITES`, selected with
 ``--suite``:
 
-* ``fixpoint`` (default) — fixpoint workloads measured for both fixpoint
-  strategies (``worklist`` vs ``dense``, see :mod:`repro.gfa.fixpoint`) *in
-  the same run*: Kleene iteration on Boolean chain systems, the paper's
-  Fig. 2 exact-Newton legs and its Fig. 3 abstract-engine legs;
-* ``logic`` — the DPLL(T) core: records the **query streams of real
-  workloads** (Table 1/2 benchmark checks, a seeded random mix) via
-  :func:`repro.logic.solver.record_queries` and replays each stream through
-  the incremental solver *and* the preserved pre-rewrite baseline
-  (:mod:`repro.logic.reference`).  Verdict agreement between the two
-  stacks is checked before timing;
 * ``domains`` — the columnar evaluation core over an example-count sweep
   (|E| = 10 → 5000), each workload measured through up to three legs:
   ``reference`` (the frozen pre-columnar twins in
@@ -56,24 +46,15 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.cache import clear_cache, runtime_cache_stats
-from repro.engine.registry import create_engine
-from repro.gfa.equations import EquationSystem, Monomial, Polynomial
-from repro.gfa.fixpoint import DENSE, STRATEGIES, WORKLIST, FixpointStats
-from repro.gfa.kleene import solve_kleene
-from repro.gfa.semiring import BooleanSemiring
+from repro.engine.cache import clear_cache
 from repro.domains.reference import ReferenceIntervalDomain
 from repro.domains.registry import create_domain
 from repro.grammar import alphabet as alph
 from repro.grammar.terms import Term
-from repro.logic.formulas import Formula
-from repro.logic.reference import reference_check_sat
-from repro.logic.solver import check_sat, record_queries
 from repro.semantics.evaluator import EvalMemo, evaluate
 from repro.semantics.reference import reference_evaluate
 from repro.unreal.approximate import check_examples_abstract, solve_abstract_gfa
 from repro.unreal.lia import solve_lia_gfa
-from repro.suites import get_benchmark
 from repro.suites.scaling import (
     chain_grammar,
     example_set,
@@ -82,7 +63,6 @@ from repro.suites.scaling import (
 )
 from repro.utils.columns import NUMPY_OPS, use_backend
 from repro.utils.errors import ReproError
-from repro.utils.stats import recording
 
 Report = Dict[str, object]
 
@@ -136,21 +116,6 @@ def _ratio(numerator: Optional[float], denominator: Optional[float]) -> Optional
 def _median_seconds(row: Dict[str, object], leg: str) -> Optional[float]:
     cell = row.get(leg)
     return cell["median_seconds"] if isinstance(cell, dict) else None
-
-
-def _speedup_summary(rows: Sequence[Dict[str, object]]) -> Dict[str, object]:
-    """``<group>_min_speedup`` and ``<group>_median_speedup`` per row group."""
-    summary: Dict[str, object] = {}
-    for group in sorted({row["group"] for row in rows}):
-        speedups = [
-            row["speedup"]
-            for row in rows
-            if row["group"] == group and row.get("speedup") is not None
-        ]
-        if speedups:
-            summary[f"{group}_min_speedup"] = min(speedups)
-            summary[f"{group}_median_speedup"] = statistics.median(speedups)
-    return summary
 
 
 _COMPARISONS = {">=": operator.ge, "<=": operator.le, "is": operator.is_}
@@ -249,346 +214,6 @@ def render(report: Report) -> str:
         f"  {key}: {_format(value)}" for key, value in sorted(report["summary"].items())
     )
     return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# The fixpoint suite: worklist vs dense strategies
-# ---------------------------------------------------------------------------
-
-
-def chain_boolean_system(length: int) -> EquationSystem:
-    """``X_0 = X_1, ..., X_{n-1} = X_n, X_n = 1`` plus a self-loop on X_0.
-
-    A dense solver needs ~n rounds of n evaluations to push ``true`` down the
-    chain; a worklist solver needs ~2n evaluations total.
-    """
-    equations = {}
-    for index in range(length):
-        equations[f"X{index}"] = Polynomial((Monomial(True, (f"X{index + 1}",)),))
-    equations[f"X{length}"] = Polynomial((Monomial(True, ()),))
-    # Make X0 self-recursive so the system is not a simple DAG.
-    equations["X0"] = Polynomial(
-        (Monomial(True, ("X1",)), Monomial(True, ("X0", "X1")))
-    )
-    return EquationSystem(equations)
-
-
-def _run_kleene(length: int, strategy: str) -> FixpointStats:
-    system = chain_boolean_system(length)
-    solution = solve_kleene(system, BooleanSemiring(), strategy=strategy)
-    assert solution["X0"] is True  # sanity: the chain must saturate
-    return solution.stats
-
-
-#: Extra fig2 measurement leg: dense Jacobian but stratification kept on.
-#: Stratification (§7) pre-dates the worklist work, so the report records it
-#: as its own axis — ``dense`` is the historical full-system solve (single
-#: stratum + dense Jacobian), ``dense_stratified`` isolates the pure
-#: Jacobian-strategy effect, and the headline speedup is worklist vs dense.
-DENSE_STRATIFIED = "dense_stratified"
-
-
-def _run_fig2(nonterminals: int, examples: int, strategy: str) -> FixpointStats:
-    entry = scaling_benchmark(nonterminals)
-    if strategy == DENSE:
-        stratify, solver_strategy = False, DENSE
-    elif strategy == DENSE_STRATIFIED:
-        stratify, solver_strategy = True, DENSE
-    else:
-        stratify, solver_strategy = True, WORKLIST
-    solution = solve_lia_gfa(
-        entry.problem.grammar,
-        example_set(examples),
-        stratify=stratify,
-        strategy=solver_strategy,
-    )
-    assert not solution.start_value.is_empty()
-    return FixpointStats(strategy, solution.iterations, solution.evaluations)
-
-
-def _run_fig3(nonterminals: int, examples: int, strategy: str) -> FixpointStats:
-    grammar = chain_grammar(max(1, nonterminals - 2))
-    solution = solve_abstract_gfa(grammar, example_set(examples), strategy=strategy)
-    return FixpointStats(strategy, solution.iterations, solution.evaluations)
-
-
-def _fixpoint_workloads(
-    quick: bool,
-) -> List[Tuple[str, str, Callable[[str], FixpointStats], Sequence[str]]]:
-    """``(name, group, run, strategies)``; ``quick`` shrinks the sweep for CI.
-
-    * ``kleene`` — Kleene iteration on synthetic chain systems over the
-      Boolean semiring (the worst case for dense iteration: information
-      flows one edge per round);
-    * ``fig2`` — the paper's Fig. 2 scaling workload: exact semi-linear-set
-      solving (stratified Newton) of chain grammars, |N| x |E| sweep;
-    * ``fig3`` — the Fig. 3/5 scaling workload: the approximate
-      product-domain engine on the same chain grammars.
-    """
-    kleene_sizes = [64] if quick else [64, 256, 1024]
-    fig2_points = [(14, 1)] if quick else [(14, 1), (20, 1), (26, 1), (14, 2), (20, 2)]
-    fig3_points = [(14, 2)] if quick else [(14, 2), (20, 2), (26, 2), (14, 3), (20, 3)]
-    workloads = [
-        (f"kleene_bool_chain_{size}", "kleene", partial(_run_kleene, size), STRATEGIES)
-        for size in kleene_sizes
-    ]
-    workloads += [
-        (
-            f"fig2_newton_n{nonterminals}_e{examples}",
-            "fig2",
-            partial(_run_fig2, nonterminals, examples),
-            (WORKLIST, DENSE, DENSE_STRATIFIED),
-        )
-        for nonterminals, examples in fig2_points
-    ]
-    workloads += [
-        (
-            f"fig3_abstract_n{nonterminals}_e{examples}",
-            "fig3",
-            partial(_run_fig3, nonterminals, examples),
-            STRATEGIES,
-        )
-        for nonterminals, examples in fig3_points
-    ]
-    return workloads
-
-
-def _run_fixpoint(repetitions: int, quick: bool) -> Report:
-    rows: List[Dict[str, object]] = []
-    for name, group, run, strategies in _fixpoint_workloads(quick):
-        # One untimed run per strategy: its sanity asserts run before any
-        # timing, and it records the iteration/evaluation counts.
-        stats = {}
-        for strategy in strategies:
-            clear_cache()
-            stats[strategy] = run(strategy)
-        seconds = _time_legs(
-            {strategy: partial(run, strategy) for strategy in strategies}, repetitions
-        )
-        row: Dict[str, object] = {"name": name, "group": group}
-        for strategy in strategies:
-            row[strategy] = _cell(
-                seconds[strategy],
-                iterations=stats[strategy].iterations,
-                evaluations=stats[strategy].evaluations,
-            )
-        row["speedup"] = _ratio(
-            _median_seconds(row, DENSE), _median_seconds(row, WORKLIST)
-        )
-        row["evaluation_ratio"] = _ratio(
-            stats[DENSE].evaluations, stats[WORKLIST].evaluations
-        )
-        rows.append(row)
-
-    summary = _speedup_summary(rows)
-    for group in sorted({row["group"] for row in rows}):
-        ratios = [
-            row["evaluation_ratio"]
-            for row in rows
-            if row["group"] == group and row["evaluation_ratio"] is not None
-        ]
-        if ratios:
-            summary[f"{group}_max_evaluation_ratio"] = max(ratios)
-    return {"workloads": rows, "summary": summary, "caches": runtime_cache_stats()}
-
-
-# ---------------------------------------------------------------------------
-# The logic (DPLL(T) core) suite
-# ---------------------------------------------------------------------------
-#
-# Each workload is a *captured query stream*: the exact sequence of formulas
-# a real pipeline run hands to the solver, recorded once (untimed) and then
-# replayed through the incremental core and the pre-rewrite reference stack.
-# Replaying identical formula sequences is what makes the recorded speedup an
-# apples-to-apples measure of the solver rewrite alone.
-
-
-def _capture_check_stream(
-    benchmark_name: str, suite: Optional[str] = None
-) -> List[Formula]:
-    """The solver queries of one exact naySL benchmark check.
-
-    The Table 2 ``array_search`` family is the §7/§8 exact-Newton workload
-    whose CLIA verdict extraction dominates solver time; the Table 1
-    LimitedIf family exercises the 2^|E| comparison-abstraction queries.
-    ``suite`` disambiguates names that appear in several suites (``ite1``
-    exists in both LimitedPlus and LimitedIf).
-    """
-    benchmark = get_benchmark(benchmark_name, suite)
-    engine = create_engine("naySL")
-    clear_cache()
-    sink: List[Formula] = []
-    with record_queries(sink):
-        engine.check(benchmark.problem, benchmark.witness_examples)
-    clear_cache()
-    return sink
-
-
-def _capture_random_stream(count: int, seed: int = 0) -> List[Formula]:
-    """Seeded random QF-LIA formulas (small Boolean structure over 3 vars).
-
-    Every formula is *box-bounded* (``-8 <= v <= 8`` conjoined per
-    variable): the pre-rewrite baseline's branch-and-bound can take minutes
-    on unbounded random strips, and a benchmark that mostly measures one
-    pathological query would say nothing about throughput.
-    """
-    import random
-
-    from repro.logic.formulas import (
-        BoolLit,
-        atom_eq,
-        atom_ge,
-        atom_le,
-        atom_lt,
-        atom_ne,
-        conjunction,
-        disjunction,
-    )
-    from repro.logic.terms import LinearExpression
-
-    rng = random.Random(seed)
-    names = ["x", "y", "z"]
-    makers = (atom_le, atom_lt, atom_eq, atom_ne)
-    box = [
-        atom
-        for name in names
-        for atom in (
-            atom_ge(LinearExpression.variable(name), -8),
-            atom_le(LinearExpression.variable(name), 8),
-        )
-    ]
-
-    def random_atom() -> Formula:
-        expression = LinearExpression(
-            {name: rng.randint(-4, 4) for name in names}, rng.randint(-8, 8)
-        )
-        return rng.choice(makers)(expression, 0)
-
-    formulas: List[Formula] = []
-    while len(formulas) < count:
-        clauses = [
-            disjunction([random_atom() for _ in range(rng.randint(1, 3))])
-            for _ in range(rng.randint(1, 4))
-        ]
-        formula = conjunction(clauses + box)
-        if not isinstance(formula, BoolLit):
-            formulas.append(formula)
-    return formulas
-
-
-def _logic_workloads(
-    quick: bool,
-) -> List[Tuple[str, str, Callable[[], List[Formula]]]]:
-    """``(name, group, capture)``; ``quick`` shrinks the suite for CI."""
-    workloads = [("random_qflia_200", "random", partial(_capture_random_stream, 200))]
-    table2 = ["array_search_8"] if quick else ["array_search_10", "array_search_13"]
-    workloads += [
-        (f"table2_clia_{name}", "table2", partial(_capture_check_stream, name))
-        for name in table2
-    ]
-    if not quick:
-        workloads.append(
-            (
-                "table1_limited_if_ite1",
-                "table1",
-                partial(_capture_check_stream, "ite1", "LimitedIf"),
-            )
-        )
-    return workloads
-
-
-#: Stat-counter keys reported per incremental replay.
-_LOGIC_STAT_KEYS = (
-    "theory_queries",
-    "theory_cache_hits",
-    "lemma_hits",
-    "lemmas_learned",
-    "simplex_pivots",
-    "bb_nodes",
-    "propagations",
-    "core_probes",
-)
-
-
-def _replay_incremental(stream: Sequence[Formula]) -> List[bool]:
-    return [check_sat(formula).is_sat for formula in stream]
-
-
-def _replay_reference(stream: Sequence[Formula]) -> List[bool]:
-    return [reference_check_sat(formula)[0] for formula in stream]
-
-
-def _rate_vs_committed(
-    rows: Sequence[Dict[str, object]], committed_path: Path
-) -> Optional[float]:
-    """The worst fresh/committed ``incremental.queries_per_second`` ratio.
-
-    Taken over the rows the committed artifact also has; a fresh row with
-    no rate counts as 0, so it fails the gate instead of being skipped.
-    ``None`` when there is nothing to compare against.
-    """
-    if not committed_path.exists():
-        return None
-    committed = {
-        row["name"]: row["incremental"].get("queries_per_second")
-        for row in json.loads(committed_path.read_text())["workloads"]
-    }
-    ratios = [
-        (row["incremental"]["queries_per_second"] or 0.0) / committed[row["name"]]
-        for row in rows
-        if committed.get(row["name"])
-    ]
-    return min(ratios) if ratios else None
-
-
-def _run_logic(repetitions: int, quick: bool) -> Report:
-    rows: List[Dict[str, object]] = []
-    for name, group, capture in _logic_workloads(quick):
-        stream = capture()
-        # Differential guard before timing: both stacks must agree on every
-        # query, otherwise the bench result would be comparing wrong answers.
-        # The incremental replay starts from cold caches, like every timed
-        # one, so what it records is the work each timed replay does.
-        clear_cache()
-        with recording(*_LOGIC_STAT_KEYS) as counted:
-            verdicts = _replay_incremental(stream)
-        if verdicts != _replay_reference(stream):
-            raise ReproError(f"solver verdict mismatch replaying workload {name!r}")
-        seconds = _time_legs(
-            {
-                "incremental": partial(_replay_incremental, stream),
-                "reference": partial(_replay_reference, stream),
-            },
-            repetitions,
-        )
-        incremental = _cell(
-            seconds["incremental"],
-            "queries_per_second",
-            len(stream),
-            stats={key: counted[key] for key in _LOGIC_STAT_KEYS},
-        )
-        reference = _cell(seconds["reference"], "queries_per_second", len(stream))
-        rows.append(
-            {
-                "name": name,
-                "group": group,
-                "queries": len(stream),
-                "incremental": incremental,
-                "reference": reference,
-                "speedup": _ratio(
-                    reference["median_seconds"], incremental["median_seconds"]
-                ),
-            }
-        )
-
-    summary = _speedup_summary(rows)
-    speedups = [row["speedup"] for row in rows if row["speedup"] is not None]
-    if speedups:
-        summary["overall_median_speedup"] = statistics.median(speedups)
-    rate = _rate_vs_committed(rows, Path(SUITES["logic"].path))
-    if rate is not None:
-        summary["gate_rate_vs_committed"] = rate
-    return {"workloads": rows, "summary": summary, "caches": runtime_cache_stats()}
 
 
 # ---------------------------------------------------------------------------
@@ -1640,46 +1265,11 @@ class Suite:
 
 #: The suites ``repro-nay bench --suite all`` runs (chaos and serve drive
 #: worker processes and a server; run them explicitly).
-TIMING_SUITES = ("fixpoint", "logic", "domains", "grammar")
+TIMING_SUITES = ("domains", "grammar")
 
 #: Every suite, with its gates.  Quick bars are looser than full ones where
 #: a quick run's few, short samples on a shared CI runner are noisy.
 SUITES: Dict[str, Suite] = {
-    # Schema 3 dropped the ``certification`` section and the single-leg
-    # workloads (semilinear micro, solve end-to-end, domain engines).
-    "fixpoint": Suite(
-        _run_fixpoint,
-        "BENCH_fixpoint.json",
-        3,
-        "workloads",
-        (
-            ("workload", "name", "{}"),
-            ("worklist", "worklist.median_seconds", "{:.4f}"),
-            ("dense", "dense.median_seconds", "{:.4f}"),
-            ("speedup", "speedup", "{:.1f}x"),
-            ("evals(w)", "worklist.evaluations", "{}"),
-            ("evals(d)", "dense.evaluations", "{}"),
-        ),
-    ),
-    "logic": Suite(
-        _run_logic,
-        "BENCH_logic.json",
-        1,
-        "workloads",
-        (
-            ("workload", "name", "{}"),
-            ("queries", "queries", "{}"),
-            ("inc q/s", "incremental.queries_per_second", "{:.0f}"),
-            ("ref q/s", "reference.queries_per_second", "{:.0f}"),
-            ("speedup", "speedup", "{:.1f}x"),
-            ("lemma", "incremental.stats.lemma_hits", "{}"),
-            ("cache", "incremental.stats.theory_cache_hits", "{}"),
-            ("pivots", "incremental.stats.simplex_pivots", "{}"),
-        ),
-        # Every fresh row the committed artifact also has keeps at least
-        # half the committed incremental rate.
-        (Gate("gate_rate_vs_committed", ">=", quick=0.5),),
-    ),
     "domains": Suite(
         _run_domains,
         "BENCH_domains.json",

@@ -22,6 +22,11 @@ _SCOPE: ContextVar[Optional[Dict[str, int]]] = ContextVar(
     "repro_stats_scope", default=None
 )
 
+#: Key prefixes of the entries :func:`note` sets.  Several runs' stats fold
+#: into one (the staged ladder's stages) by keeping the last run's value of
+#: these and adding up every other entry.
+NOTED = ("grammar_", "powerset_")
+
 
 def count(values: Mapping[str, int]) -> None:
     """Add ``values`` into the open scope."""

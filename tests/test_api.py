@@ -275,7 +275,6 @@ class TestFacade:
 SLOWPOKE_SECONDS = 8.0
 
 
-@register_engine("slowpoke")
 @dataclass
 class Slowpoke(EngineConfigMixin):
     """A test engine that is always slow and never definitive."""
@@ -303,7 +302,8 @@ class Slowpoke(EngineConfigMixin):
 
 
 @pytest.fixture(scope="module", autouse=True)
-def _drop_slowpoke_after_module():
+def _slowpoke_registered_for_module():
+    register_engine("slowpoke")(Slowpoke)
     yield
     _REGISTRY.pop("slowpoke", None)
 

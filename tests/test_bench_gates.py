@@ -62,28 +62,6 @@ def test_gate_passes_at_its_bar_and_fails_past_it(name, gate, quick):
     assert not passed and gate.key in line and "missing" in line
 
 
-def test_logic_row_without_a_rate_fails_the_committed_rate_gate(tmp_path):
-    committed = tmp_path / "BENCH_logic.json"
-    committed.write_text(
-        json.dumps(
-            {
-                "workloads": [
-                    {"name": "a", "incremental": {"queries_per_second": 100.0}},
-                    {"name": "b", "incremental": {"queries_per_second": 100.0}},
-                ]
-            }
-        )
-    )
-
-    def row(name, rate):
-        return {"name": name, "incremental": {"queries_per_second": rate}}
-
-    assert perf._rate_vs_committed([row("a", 60.0), row("c", 1.0)], committed) == 0.6
-    assert perf._rate_vs_committed([row("a", 60.0), row("b", None)], committed) == 0.0
-    assert perf._rate_vs_committed([row("c", 1.0)], committed) is None
-    assert perf._rate_vs_committed([row("a", 1.0)], tmp_path / "absent.json") is None
-
-
 def _fake_serve(monkeypatch, summary, **fields):
     def run(repetitions, quick):
         return {"legs": [], "summary": summary}
@@ -141,6 +119,15 @@ def test_bench_rejects_repeat_below_one(capsys):
         cli_main(["bench", "--suite", "grammar", "--quick", "--repeat", "0"])
     assert excinfo.value.code == 2
     assert "--repeat: must be >= 1" in capsys.readouterr().err
+
+
+def test_bench_without_a_suite_is_rejected(capsys):
+    # No default suite: a bare ``bench`` would run a full sweep and
+    # overwrite a committed artifact.
+    with pytest.raises(SystemExit) as excinfo:
+        cli_main(["bench"])
+    assert excinfo.value.code == 2
+    assert "--suite" in capsys.readouterr().err
 
 
 def test_cli_import_does_not_load_the_harness():

@@ -15,11 +15,12 @@ from repro.domains.semilinear import (
     clear_semilinear_caches,
     semilinear_cache_stats,
 )
-from repro.engine.cache import runtime_cache_stats
 from repro.grammar import alphabet as alph
 from repro.grammar.terms import Term
+from repro.logic.solver import logic_cache_stats
 from repro.utils.errors import GrammarError
 from repro.utils.intern import intern_stats, interner
+from repro.utils.lru import BoundedLru
 from repro.utils.vectors import BoolVector, IntVector
 
 
@@ -158,14 +159,28 @@ class TestMemoTables:
         for name in ("IntVector", "BoolVector", "Term", "LinearSet", "SemiLinearSet"):
             assert name in stats
             assert set(stats[name]) == {"live", "hits", "misses"}
-        combined = runtime_cache_stats()
-        assert set(combined) == {"gfa", "semilinear", "intern", "logic"}
-        assert set(combined["semilinear"]) == {
-            "simplify",
-            "subsumes",
-            "member_contexts",
-        }
-        assert set(combined["logic"]) == {"query_cache", "formula_cache", "lemmas"}
+
+    def test_memo_stats_shapes(self):
+        semilinear = semilinear_cache_stats()
+        logic = logic_cache_stats()
+        assert set(semilinear) == {"simplify", "subsumes", "member_contexts"}
+        assert set(logic) == {"query_cache", "formula_cache", "lemmas"}
+        tables = [*semilinear.values(), logic["query_cache"], logic["formula_cache"]]
+        for stats in tables:
+            assert set(stats) == {"entries", "hits", "misses"}
+        assert set(logic["lemmas"]) == {"entries", "learned", "hits"}
+
+    def test_bounded_lru_evicts_the_least_recently_used_entry(self):
+        table = BoundedLru(2)
+        table.put("a", 1)
+        table.put("b", 2)
+        assert table.get("a") == 1  # "b" is now the least recently used
+        table.put("c", 3)
+        assert table.get("b") is None
+        assert (table.get("a"), table.get("c")) == (1, 3)
+        assert table.stats() == {"entries": 2, "hits": 3, "misses": 1}
+        table.clear()
+        assert table.stats() == {"entries": 0, "hits": 0, "misses": 0}
 
     def test_interner_registry_is_shared(self):
         assert interner("IntVector") is interner("IntVector")

@@ -5,7 +5,8 @@ Four angles:
 * **differential** — the rewritten solver must agree with brute-force
   enumeration on box-bounded random formulas (bounded boxes make brute
   force a complete oracle) and with the preserved pre-rewrite stack
-  (:mod:`repro.logic.reference`) on unbounded ones;
+  (:mod:`repro.logic.reference`) on unbounded ones and on every query of
+  real naySL checks;
 * **unsat cores** — cores are infeasible subsets, minimal under
   single-atom deletion;
 * **contexts** — push/pop restores assertion state exactly, assumptions
@@ -22,7 +23,8 @@ import random
 
 import pytest
 
-from repro.engine.cache import clear_cache, runtime_cache_stats
+from repro.engine.cache import clear_cache
+from repro.engine.registry import create_engine
 from repro.logic.formulas import (
     Atom,
     BoolLit,
@@ -50,8 +52,10 @@ from repro.logic.solver import (
     check_sat,
     clear_logic_caches,
     logic_cache_stats,
+    record_queries,
 )
 from repro.logic.terms import LinearExpression
+from repro.suites import get_benchmark
 from repro.utils.errors import SolverError, SolverLimitError
 from repro.utils.stats import recording
 
@@ -165,6 +169,26 @@ class TestDifferential:
                 for atom in atoms:
                     assert atom.evaluate(outcome.model)
             checked += 1
+
+    @pytest.mark.parametrize(
+        "name,suite", [("ite1", "LimitedIf"), ("array_search_8", None)]
+    )
+    def test_agrees_with_reference_on_captured_check_streams(self, name, suite):
+        """Every query one naySL check asks: LimitedIf's 2^|E| comparison
+        queries and a Table 2 CLIA verdict extraction, replayed from cold
+        caches."""
+        benchmark = get_benchmark(name, suite)
+        clear_cache()
+        stream = []
+        with record_queries(stream):
+            create_engine("naySL").check(benchmark.problem, benchmark.witness_examples)
+        assert stream
+        clear_cache()
+        for formula in stream:
+            result = check_sat(formula)
+            assert result.is_sat == reference_check_sat(formula)[0], str(formula)
+            if result.is_sat:
+                assert formula.evaluate(result.model), str(formula)
 
 
 class TestSimplex:
@@ -413,8 +437,6 @@ class TestCaches:
         assert stats["query_cache"]["entries"] == 0
         assert stats["formula_cache"]["entries"] == 0
         assert stats["lemmas"]["entries"] == 0
-        combined = runtime_cache_stats()
-        assert combined["logic"]["query_cache"]["entries"] == 0
 
     def test_membership_contexts_cleared_with_cache(self):
         from repro.domains.semilinear import LinearSet, semilinear_cache_stats

@@ -130,6 +130,20 @@ class TestStagedExecution:
             single.solver_stats["grammar_states"]
         )
 
+    def test_sizes_and_settings_are_not_summed_across_stages(self):
+        # max2 walks the whole ladder, and every stage prunes the same
+        # grammar: the response reports the last stage's grammar size and
+        # nayFin's powerset settings, each as one engine run reports it.
+        tags = {"prune": "oe"}
+        staged = Solver(engine=STAGED_ENGINE).check("max2", tags=tags).solver_stats
+        exact = Solver(engine="naySL").check("max2", tags=tags).solver_stats
+        finite = Solver(engine="nayFin").check("max2", tags=tags).solver_stats
+        assert staged["staged_stages_run"] == len(STAGED_DEFAULT_ORDER)
+        for key in ("grammar_states", "grammar_productions_pruned"):
+            assert staged[key] == exact[key], key
+        for key in ("powerset_cap", "powerset_max_examples"):
+            assert staged[key] == finite[key], key
+
     def test_stages_see_the_fault_plan(self):
         tags = {"faults": "error@*"}
         assert Solver(engine="nayInt").check("plane1", tags=tags).verdict == "error"
