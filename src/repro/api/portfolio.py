@@ -7,16 +7,15 @@ trails by a constant factor.  Two strategies turn that complementary
 strength into latency:
 
 * ``engine="portfolio"`` (:func:`solve_portfolio`) — every selected engine
-  runs the same request on its own worker of the supervised solve fabric
-  (:mod:`repro.engine.supervisor`), the first **definitive** verdict
-  (``unrealizable``/``realizable``) wins, and the losers are cancelled
-  outright (their workers killed and replaced).  A leg that crashes is an
-  ``error`` result for that engine only — the race keeps going on the
-  surviving workers.  Engines whose circuit breaker is open are skipped up
-  front (``details["portfolio"]["skipped"]``) and re-admitted by half-open
-  probes once their cooldown passes.  Only crashed legs and legs still
-  running at the hard guard count against a breaker; a leg's reply, even
-  an in-budget ``timeout``, never does.
+  runs the same request as one :meth:`Supervisor.solve` call on the
+  supervised solve fabric (:mod:`repro.engine.supervisor`); the first
+  **definitive** verdict (``unrealizable``/``realizable``) wins, and its
+  reply sets the race's cancel event, which stops the losers (their
+  workers killed).  Each leg is a fabric request like any other: a crashed
+  leg is retried, a leg whose circuit breaker is open is refused (listed
+  under ``details["portfolio"]["skipped"]``) until a half-open probe
+  re-admits it, and only a leg that crashed on every attempt or hit the
+  hard guard counts against its breaker.
 * ``engine="staged"`` (:func:`solve_staged`) — engines run *in order of
   cost*, in-process: the cheap abstract domains (``nayInt``, ``nayFin``)
   first, escalating to ``nayHorn`` and finally exact ``naySL`` only while
@@ -38,6 +37,7 @@ neither strategy ever upgrades an approximate engine's ``unknown``.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import replace
 from typing import Dict, List, Optional
@@ -86,26 +86,21 @@ def _best_loser(
 def solve_portfolio(request: SolveRequest) -> SolveResponse:
     """Race the request across engines on the solve fabric.
 
-    First definitive verdict wins; losers are cancelled (workers killed and
-    replaced).  A crashed leg becomes an ``error`` result for that engine
-    while the race continues on the survivors.  Engines with an open circuit
-    breaker are skipped.  Races run on the ambient fabric when one is
-    installed (``repro-nay serve``), sharing its pre-warmed workers;
+    Every leg is one :meth:`Supervisor.solve` call on its own thread, so a
+    leg gets the fabric's retries, breaker policy and hard guard like any
+    other request.  The first definitive verdict sets the race's cancel
+    event, which stops the losers (their workers are killed).  A leg whose
+    breaker refuses it is skipped.  Races run on the ambient fabric when
+    one is installed (``repro-nay serve``), sharing its pre-warmed workers;
     otherwise an ephemeral one-worker-per-leg supervisor is forked for the
     race, deliberately ignoring the core count — a race only works if every
     leg starts promptly, and on an oversubscribed box the legs timeshare,
     which still lets the fastest engine win.
     """
+    from concurrent.futures import ThreadPoolExecutor, as_completed
+
     from repro.api.facade import execute_request
-    from repro.engine.supervisor import (
-        FabricSaturatedError,
-        Job,
-        Supervisor,
-        WorkerCrashError,
-        get_breakers,
-        get_fabric,
-        hard_guard,
-    )
+    from repro.engine.supervisor import FabricCancelledError, Supervisor, get_fabric
     from repro.testing.faults import in_worker_process
 
     engines = portfolio_engines(request)
@@ -125,15 +120,50 @@ def solve_portfolio(request: SolveRequest) -> SolveResponse:
         response.details = {**response.details, "portfolio_degraded": "staged"}
         return response
 
-    breakers = get_breakers()
-    admitted: List[str] = []
-    skipped: List[str] = []
-    for name in engines:
-        (admitted if breakers.allow(name) else skipped).append(name)
-    if not admitted:
+    fabric = get_fabric()
+    ephemeral = fabric is None
+    if ephemeral:
+        # Forked before the leg threads start: with threads running, the
+        # fabric spawns instead of forking.
+        fabric = Supervisor(len(engines), warm=False, name="race")
+    cancel = threading.Event()
+
+    def stop_losers() -> None:
+        cancel.set()
+        if ephemeral:
+            fabric.shutdown()  # the losers die now, and nothing replaces them
+
+    finished: Dict[str, SolveResponse] = {}
+    refused: Dict[str, Dict[str, object]] = {}
+    winner: Optional[SolveResponse] = None
+    with ThreadPoolExecutor(len(engines), thread_name_prefix="race") as legs:
+        futures = {
+            legs.submit(
+                fabric.solve, replace(request, engine=name, engines=None), cancel
+            ): name
+            for name in engines
+        }
+        try:
+            for future in as_completed(futures):
+                try:
+                    response = future.result()
+                except FabricCancelledError:
+                    continue  # a loser, stopped once the winner arrived
+                name = futures[future]
+                if "breaker" in response.details:
+                    refused[name] = response.details["breaker"]
+                    continue
+                finished[name] = response
+                if winner is None and response.is_definitive:
+                    winner = response
+                    stop_losers()
+        finally:
+            stop_losers()
+
+    if len(refused) == len(engines):
         response = error_response(
             "portfolio: every selected engine's circuit breaker is open "
-            f"({', '.join(sorted(skipped))})",
+            f"({', '.join(sorted(refused))})",
             request,
         )
         response.engines_raced = list(engines)
@@ -144,112 +174,11 @@ def solve_portfolio(request: SolveRequest) -> SolveResponse:
                 "race_seconds": 0.0,
                 "finished": [],
                 "cancelled": sorted(engines),
-                "skipped": sorted(skipped),
+                "skipped": sorted(refused),
             },
-            "breakers": breakers.snapshot(),
+            "breakers": dict(sorted(refused.items())),
         }
         return response
-
-    guard = hard_guard(request.timeout_seconds)
-    deadline = None if guard is None else start + guard
-    soft_deadline = (
-        None if request.timeout_seconds is None else start + request.timeout_seconds
-    )
-
-    def leg(name: str) -> SolveRequest:
-        return replace(request, engine=name, engines=None)
-
-    def soft_remaining() -> Optional[float]:
-        if soft_deadline is None:
-            return None
-        return max(0.05, soft_deadline - time.monotonic())
-
-    fabric = get_fabric()
-    ephemeral = fabric is None
-    if ephemeral:
-        fabric = Supervisor(len(admitted), warm=False, name="race")
-
-    pending: List[str] = list(admitted)
-    jobs: Dict[str, Job] = {}
-    finished: Dict[str, SolveResponse] = {}
-    crashed: Dict[str, str] = {}
-    winner: Optional[SolveResponse] = None
-
-    def settle(name: str, response: SolveResponse) -> None:
-        nonlocal winner
-        finished[name] = response
-        breakers.for_engine(name).record_reply(response.verdict)
-        if winner is None and response.is_definitive:
-            winner = response
-
-    try:
-        while (pending or jobs) and winner is None:
-            remaining = None if deadline is None else deadline - time.monotonic()
-            if remaining is not None and remaining <= 0:
-                break  # hard wall-clock guard expired with legs still running
-            # Start every leg an idle worker can take right now.
-            while pending:
-                job = fabric.try_submit(leg(pending[0]), soft_timeout=soft_remaining())
-                if job is None:
-                    break
-                jobs[pending.pop(0)] = job
-            if not jobs:
-                # Shared fabric fully busy with other requests: block for
-                # one worker so the race always makes progress.
-                name = pending.pop(0)
-                try:
-                    jobs[name] = fabric.submit(
-                        leg(name), soft_timeout=soft_remaining(), timeout=remaining
-                    )
-                except FabricSaturatedError:
-                    pending.insert(0, name)
-                    break
-                except WorkerCrashError as error:
-                    crashed[name] = str(error)
-                    breakers.for_engine(name).record_failure()
-                    settle_crash = error_response(
-                        f"race leg crashed: {error}", request, engine=name
-                    )
-                    finished[name] = settle_crash
-                    continue
-            slice_seconds = 0.25
-            if remaining is not None:
-                slice_seconds = min(slice_seconds, max(0.0, remaining))
-            ready = fabric.poll_jobs(list(jobs.values()), timeout=slice_seconds)
-            by_job = {job: name for name, job in jobs.items()}
-            for job in sorted(ready, key=lambda item: admitted.index(by_job[item])):
-                name = by_job[job]
-                try:
-                    response = fabric.harvest(job, timeout=1.0)
-                except WorkerCrashError as error:
-                    jobs.pop(name)
-                    crashed[name] = str(error)
-                    breakers.for_engine(name).record_failure()
-                    finished[name] = error_response(
-                        f"race leg crashed: {error}", request, engine=name
-                    )
-                    continue
-                except Exception:  # noqa: BLE001 — a flaky poll must not end the race
-                    continue
-                jobs.pop(name)
-                settle(name, response)
-                if winner is not None:
-                    break
-    finally:
-        for name, job in jobs.items():
-            # Cancel the losers (or, at the deadline, the stragglers): kill
-            # their workers.  Deadline expiry is a hard timeout and counts
-            # against the engine's breaker; losing to a faster sibling says
-            # nothing about the engine.
-            fabric.cancel(job, replace_worker=not ephemeral)
-            if winner is None:
-                breakers.for_engine(name).record_failure()
-            else:
-                breakers.for_engine(name).release_probe()
-        for name in pending:
-            breakers.for_engine(name).release_probe()
-        if ephemeral:
-            fabric.shutdown()
 
     race_seconds = time.monotonic() - start
     response = winner if winner is not None else _best_loser(finished, engines, request)
@@ -260,15 +189,13 @@ def solve_portfolio(request: SolveRequest) -> SolveResponse:
         "finished": sorted(finished),
         "cancelled": sorted(set(engines) - set(finished)),
     }
-    if skipped:
-        portfolio_details["skipped"] = sorted(skipped)
+    if refused:
+        portfolio_details["skipped"] = sorted(refused)
+    crashed = sorted(
+        name for name, leg in finished.items() if leg.details.get("transient")
+    )
     if crashed:
-        portfolio_details["crashed"] = sorted(crashed)
-        response.solver_stats = {
-            **response.solver_stats,
-            "workers_replaced": response.solver_stats.get("workers_replaced", 0)
-            + len(crashed),
-        }
+        portfolio_details["crashed"] = crashed
     response.details = {**response.details, "portfolio": portfolio_details}
     return response
 

@@ -72,9 +72,8 @@ class GfaCache:
     for long-lived server processes.
     """
 
-    def __init__(self, max_entries: int = 256, enabled: bool = True):
+    def __init__(self, max_entries: int = 256):
         self.max_entries = max_entries
-        self.enabled = enabled
         self.stats = CacheStats()
         self._normalized: "OrderedDict[Hashable, RegularTreeGrammar]" = OrderedDict()
         self._equations: "OrderedDict[Hashable, EquationSystem]" = OrderedDict()
@@ -85,8 +84,6 @@ class GfaCache:
 
     def normalized(self, grammar: RegularTreeGrammar) -> RegularTreeGrammar:
         """``normalize_for_gfa(grammar)``, memoized by structural fingerprint."""
-        if not self.enabled:
-            return normalize_for_gfa(grammar)
         key = grammar_fingerprint(grammar)
         with self._lock:
             cached = self._get(self._normalized, key)
@@ -109,8 +106,6 @@ class GfaCache:
         callers supply their own interpretation would alias different
         interpretations onto one entry.
         """
-        if not self.enabled:
-            return build_lia_equations(normalized, CliaInterpretation(examples))
         key = (grammar_fingerprint(normalized), examples)
         with self._lock:
             cached = self._get(self._equations, key)
@@ -135,8 +130,6 @@ class GfaCache:
         by the grammar fingerprint alone; ``"oe"`` merges by behavior vectors
         on the example set, which therefore joins the key.
         """
-        if not self.enabled:
-            return prune_grammar(normalized, examples, mode=mode, witnesses=False)
         key = (
             grammar_fingerprint(normalized),
             examples if mode == "oe" else None,

@@ -1,8 +1,9 @@
 """The supervised solve fabric: pre-warmed workers that survive their engines.
 
 This module is the one place the library starts processes.  The portfolio
-racer, ``Solver.solve_batch`` (and through it the experiment runner's
-``--workers N``) and ``repro-nay serve`` all run on it.  A throwaway
+racer (one :meth:`Supervisor.solve` per leg), ``Solver.solve_batch`` (and
+through it the experiment runner's ``--workers N``) and ``repro-nay serve``
+all run on it, through the same door.  A throwaway
 ``ProcessPoolExecutor`` has no failure story: a leg that dies poisons the
 whole pool (every sibling future collapses with ``BrokenProcessPool``), a
 stuck worker is only caught by a wall-clock guard in the parent, and every
@@ -30,7 +31,10 @@ pool start re-pays the import and cache warm-up an engine needs.
   attempt crashed, or the hard guard fired) trip an engine's breaker;
   portfolio and staged ladders skip tripped legs and degrade to the
   remaining engines; after a cooldown a half-open probe re-admits the
-  engine.  A reply from a live worker is never a failure.
+  engine.  A reply from a live worker is never a failure;
+* **cancellation** — a request solved with a cancel event stops as soon as
+  the event is set, waiting for a worker or running on one (whose worker
+  is killed), so a portfolio race stops its losers.
 
 Requests and responses cross the worker pipe in wire form
 (:class:`~repro.api.wire.SolveRequest` / ``SolveResponse`` payloads), the
@@ -54,8 +58,7 @@ import threading
 import time
 from dataclasses import dataclass, replace
 from multiprocessing.connection import Connection
-from multiprocessing.connection import wait as connection_wait
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, NoReturn, Optional, Sequence
 
 from repro.api.wire import SolveRequest, SolveResponse, error_response
 from repro.utils.errors import ReproError
@@ -75,6 +78,10 @@ TERM_GRACE_SECONDS = 1.0
 #: promptly even if pipe EOF is delayed by inherited descriptors.
 POLL_SLICE_SECONDS = 0.25
 
+#: Slice size for a request that can be cancelled (a portfolio race leg):
+#: how soon a leg notices that its race is decided.
+CANCEL_SLICE_SECONDS = 0.02
+
 #: Hard wall-clock guard: how long past a request's soft timeout the fabric
 #: waits for its worker before killing it and answering ``timeout``.
 HARD_TIMEOUT_FACTOR = 3.0
@@ -85,9 +92,9 @@ def hard_guard(timeout: Optional[float]) -> Optional[float]:
     """The hard wall-clock budget for a soft timeout (None = unbounded).
 
     One policy for every fabric consumer: ``Supervisor.solve`` (and so
-    ``solve_batch`` and the experiment runner), the portfolio racer and the
-    serve endpoint's dedup followers all wait this long before writing a
-    worker off as stuck.
+    ``solve_batch``, the experiment runner and every portfolio race leg)
+    and the serve endpoint's dedup followers all wait this long before
+    writing a worker off as stuck.
     """
     if timeout is None:
         return None
@@ -115,6 +122,10 @@ class FabricTimeoutError(FabricError):
 
 class FabricSaturatedError(FabricError):
     """No worker became available within the admission timeout."""
+
+
+class FabricCancelledError(FabricError):
+    """The request's cancel event was set before it got a reply."""
 
 
 # ---------------------------------------------------------------------------
@@ -426,21 +437,20 @@ class _Worker:
 class Job:
     """One outstanding request on one worker."""
 
-    __slots__ = ("id", "worker", "request", "done")
+    __slots__ = ("id", "worker", "request", "cancel", "done")
 
-    def __init__(self, job_id: int, worker: _Worker, request: SolveRequest):
+    def __init__(
+        self,
+        job_id: int,
+        worker: _Worker,
+        request: SolveRequest,
+        cancel: Optional[threading.Event],
+    ):
         self.id = job_id
         self.worker = worker
         self.request = request
+        self.cancel = cancel
         self.done = False
-
-    @property
-    def pid(self) -> Optional[int]:
-        return self.worker.pid
-
-    @property
-    def engine(self) -> str:
-        return self.request.engine
 
 
 class _Stats:
@@ -474,11 +484,12 @@ def _pick_context() -> multiprocessing.context.BaseContext:
 class Supervisor:
     """A supervised, pre-warmed pool of solver worker processes.
 
-    ``solve`` is the one-call surface (checkout → job → harvest, with the
-    retry policy and breaker bookkeeping applied); ``submit`` / ``harvest``
-    / ``cancel`` / ``poll_jobs`` are the racing surface the portfolio builds
-    on.  All of it is thread-safe — ``repro-nay serve`` calls in from many
-    handler threads at once.
+    ``solve`` is the one door every consumer uses (checkout → job →
+    harvest, with the retry policy, breaker bookkeeping and cancellation
+    applied); ``submit`` / ``harvest`` / ``cancel`` are its steps, which the
+    tests and the chaos sweep also drive one by one.  All of it is
+    thread-safe — ``repro-nay serve`` and portfolio races call in from many
+    threads at once.
     """
 
     def __init__(
@@ -488,7 +499,6 @@ class Supervisor:
         warm: bool = True,
         retry: Optional[RetryPolicy] = None,
         breakers: Optional[BreakerBoard] = None,
-        default_timeout: Optional[float] = None,
         name: str = "fabric",
     ):
         self.size = workers if workers is not None else default_worker_count()
@@ -496,7 +506,6 @@ class Supervisor:
         self.warm = warm
         self.retry = retry if retry is not None else RetryPolicy()
         self.breakers = breakers if breakers is not None else get_breakers()
-        self.default_timeout = default_timeout
         self.name = name
         self.stats = _Stats()
         self._lock = threading.Lock()
@@ -540,29 +549,34 @@ class Supervisor:
                 return
         worker.kill()
 
-    def _discard(self, worker: _Worker, *, replace_worker: bool = True) -> None:
-        """Retire a worker (crash, corruption, cancellation) and refill."""
+    def _discard(self, worker: _Worker) -> None:
+        """Retire a worker (crash, corruption, cancellation) and refill.
+
+        A worker that :meth:`shutdown` has already taken off the pool is
+        left to it: shutdown kills it, and nothing refills a closed pool.
+        """
         with self._cond:
+            owned = worker in self._busy or worker in self._idle
             self._busy.discard(worker)
             if worker in self._idle:
                 self._idle.remove(worker)
         worker.current_job = None
+        if not owned:
+            return
         worker.kill()
-        if replace_worker and not self._closed:
+        if not self._closed:
             self.stats.bump("workers_replaced")
             self._add_worker()
 
     def _release(self, worker: _Worker) -> None:
-        """Return a healthy worker to the idle pool."""
+        """Return a healthy worker to the idle pool (unless shutdown took it)."""
         worker.jobs_done += 1
         worker.current_job = None
         with self._cond:
-            self._busy.discard(worker)
-            if not self._closed:
+            if worker in self._busy:
+                self._busy.discard(worker)
                 self._idle.append(worker)
                 self._cond.notify()
-                return
-        worker.kill()
 
     def _ensure_ready(self, worker: _Worker) -> bool:
         """Consume the ready handshake of a freshly spawned worker."""
@@ -570,13 +584,13 @@ class Supervisor:
             return True
         deadline = time.monotonic() + READY_TIMEOUT_SECONDS
         while time.monotonic() < deadline:
-            if not worker.conn.poll(POLL_SLICE_SECONDS):
-                if not worker.process.is_alive():
-                    return False
-                continue
             try:
+                if not worker.conn.poll(POLL_SLICE_SECONDS):
+                    if not worker.process.is_alive():
+                        return False
+                    continue
                 message = worker.conn.recv()
-            except (EOFError, OSError):
+            except (EOFError, OSError):  # e.g. closed by a concurrent shutdown
                 return False
             if message and message[0] == "ready":
                 worker.ready = True
@@ -585,11 +599,17 @@ class Supervisor:
 
     # -- checkout / submit / harvest ------------------------------------------
 
-    def _checkout(self, timeout: Optional[float]) -> _Worker:
+    def _checkout(
+        self, timeout: Optional[float], cancel: Optional[threading.Event]
+    ) -> _Worker:
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             with self._cond:
-                while not self._idle:
+                while True:
+                    if cancel is not None and cancel.is_set():
+                        raise FabricCancelledError("cancelled waiting for a worker")
+                    if self._idle:
+                        break
                     if self._closed:
                         raise FabricError("supervisor is shut down")
                     remaining = (
@@ -600,6 +620,13 @@ class Supervisor:
                             f"no idle worker within {timeout:.3f}s "
                             f"({self.size} workers, all busy)"
                         )
+                    if cancel is not None:
+                        # Setting the event does not notify this condition,
+                        # so a cancellable checkout waits in slices.
+                        remaining = min(
+                            CANCEL_SLICE_SECONDS,
+                            CANCEL_SLICE_SECONDS if remaining is None else remaining,
+                        )
                     self._cond.wait(remaining)
                 worker = self._idle.pop()
                 self._busy.add(worker)
@@ -607,55 +634,33 @@ class Supervisor:
                 return worker
             self._discard(worker)  # dead on arrival: replace and try again
 
-    def try_submit(
-        self, request: SolveRequest, *, soft_timeout: Optional[float] = None
-    ) -> Optional[Job]:
-        """Non-blocking submit: ``None`` when every worker is busy."""
-        try:
-            return self.submit(request, soft_timeout=soft_timeout, timeout=0.0)
-        except FabricSaturatedError:
-            return None
-
     def submit(
         self,
         request: SolveRequest,
         *,
         soft_timeout: Optional[float] = None,
         timeout: Optional[float] = None,
+        cancel: Optional[threading.Event] = None,
     ) -> Job:
-        """Bind the request to a worker and start it (blocking checkout)."""
-        worker = self._checkout(timeout)
+        """Bind the request to a worker and start it (blocking checkout).
+
+        Setting ``cancel`` stops the checkout, or later the harvest, with
+        :class:`FabricCancelledError`.
+        """
+        worker = self._checkout(timeout, cancel)
         with self._lock:
             self._job_counter += 1
             job_id = self._job_counter
-        job = Job(job_id, worker, request)
+        job = Job(job_id, worker, request, cancel)
         if soft_timeout is None:
             soft_timeout = request.timeout_seconds
         try:
             worker.conn.send(("job", job.id, request.to_json(), soft_timeout))
         except (BrokenPipeError, OSError) as error:
-            job.done = True
-            self._discard(worker)
-            raise WorkerCrashError(
-                f"worker pid={worker.pid} died before accepting the job: {error}"
-            ) from None
+            self._abandon(job, f"died before accepting the job: {error}")
         worker.current_job = job.id
         self.stats.bump("jobs_submitted")
         return job
-
-    def poll_jobs(self, jobs: Sequence[Job], timeout: Optional[float]) -> List[Job]:
-        """The subset of ``jobs`` whose workers have something to report
-        (a reply *or* a died pipe) within ``timeout`` seconds."""
-        by_conn = {job.worker.conn: job for job in jobs if not job.done}
-        if not by_conn:
-            return []
-        ready = connection_wait(list(by_conn), timeout)
-        ready_jobs = [by_conn[conn] for conn in ready if conn in by_conn]
-        if ready_jobs:
-            return ready_jobs
-        # connection_wait can miss a SIGKILLed worker whose pipe end is still
-        # held open elsewhere; the dead-PID check is the backstop.
-        return [job for job in by_conn.values() if not job.worker.process.is_alive()]
 
     def harvest(self, job: Job, timeout: Optional[float] = None) -> SolveResponse:
         """Collect a job's response.
@@ -663,19 +668,26 @@ class Supervisor:
         Raises :class:`WorkerCrashError` when the worker died or replied
         garbage (the worker is replaced), :class:`FabricTimeoutError` when
         ``timeout`` elapses with the worker still busy (the job stays
-        outstanding — callers decide whether to keep waiting or ``cancel``).
+        outstanding — callers decide whether to keep waiting or ``cancel``),
+        and :class:`FabricCancelledError` within
+        :data:`CANCEL_SLICE_SECONDS` of the job's cancel event being set
+        (the worker is killed and replaced).
         """
         worker = job.worker
         deadline = None if timeout is None else time.monotonic() + timeout
+        step = POLL_SLICE_SECONDS if job.cancel is None else CANCEL_SLICE_SECONDS
         while True:
-            slice_seconds = POLL_SLICE_SECONDS
+            if job.cancel is not None and job.cancel.is_set():
+                self._abandon(job, "cancelled")
+            slice_seconds = step
             if deadline is not None:
-                slice_seconds = min(slice_seconds, max(0.0, deadline - time.monotonic()))
-            if worker.conn.poll(slice_seconds):
-                try:
-                    message = worker.conn.recv()
-                except (EOFError, OSError):
-                    return self._crash(job, "pipe closed mid-job")
+                slice_seconds = min(step, max(0.0, deadline - time.monotonic()))
+            try:
+                ready = worker.conn.poll(slice_seconds)
+                message = worker.conn.recv() if ready else None
+            except (EOFError, OSError):
+                self._abandon(job, "pipe closed mid-job")
+            if ready:
                 if not message or message[0] in ("ready", "pong"):
                     continue  # stale handshake/heartbeat traffic
                 _, job_id, payload = message
@@ -695,45 +707,50 @@ class Supervisor:
                 self._release(worker)
                 return response
             if not worker.process.is_alive():
-                return self._crash(job, f"process exited {worker.process.exitcode}")
+                self._abandon(job, f"process exited {worker.process.exitcode}")
             if deadline is not None and time.monotonic() >= deadline:
                 raise FabricTimeoutError(
                     f"job on worker pid={worker.pid} still running at the deadline"
                 )
 
-    def _crash(self, job: Job, why: str) -> SolveResponse:
+    def _abandon(self, job: Job, why: str) -> NoReturn:
+        """End a job that will not reply: retire its worker, raise why.
+
+        A job whose cancel event is set was cancelled, even if its worker
+        died first (a race pool shut down under it): that is no crash.
+        """
         job.done = True
-        self.stats.bump("worker_crashes")
         pid = job.worker.pid
         self._discard(job.worker)
-        raise WorkerCrashError(f"worker pid={pid} crashed ({why})")
+        if job.cancel is not None and job.cancel.is_set():
+            self.stats.bump("jobs_cancelled")
+            raise FabricCancelledError(f"job on worker pid={pid} cancelled") from None
+        self.stats.bump("worker_crashes")
+        raise WorkerCrashError(f"worker pid={pid} crashed ({why})") from None
 
-    def cancel(self, job: Job, *, replace_worker: bool = True) -> None:
-        """Abandon an outstanding job: kill its worker, spawn a replacement.
-
-        ``replace_worker=False`` skips the replacement — for supervisors
-        about to be shut down anyway (e.g. an ephemeral race pool).
-        """
+    def cancel(self, job: Job) -> None:
+        """Abandon an outstanding job: kill its worker, spawn a replacement."""
         if job.done:
             return
         job.done = True
         self.stats.bump("jobs_cancelled")
-        self._discard(job.worker, replace_worker=replace_worker)
+        self._discard(job.worker)
 
     # -- the one-call surface --------------------------------------------------
 
-    def solve(self, request: SolveRequest) -> SolveResponse:
-        """Run one request on the fabric with retries and breaker policy."""
+    def solve(
+        self, request: SolveRequest, cancel: Optional[threading.Event] = None
+    ) -> SolveResponse:
+        """Run one request on the fabric with retries and breaker policy.
+
+        Once ``cancel`` is set the request stops wherever it is — waiting
+        for a worker, or running on one, which is killed — hands a
+        half-open probe back and raises :class:`FabricCancelledError`.
+        """
         from repro.api.facade import timeout_response
 
         engine = request.engine
-        soft = (
-            request.timeout_seconds
-            if request.timeout_seconds is not None
-            else self.default_timeout
-        )
-        if soft is not None and request.timeout_seconds is None:
-            request = replace(request, timeout_seconds=soft)
+        soft = request.timeout_seconds
         guard = hard_guard(soft)
         deadline = None if guard is None else time.monotonic() + guard
         breaker = self.breakers.for_engine(engine)
@@ -762,13 +779,19 @@ class Supervisor:
                 response = timeout_response(request)
                 break
             soft_remaining = soft
-            if deadline is not None and soft is not None:
+            if deadline is not None:
                 soft_remaining = max(0.05, min(soft, deadline - time.monotonic()))
             try:
                 job = self.submit(
-                    request, soft_timeout=soft_remaining, timeout=remaining
+                    request,
+                    soft_timeout=soft_remaining,
+                    timeout=remaining,
+                    cancel=cancel,
                 )
                 response = self.harvest(job, timeout=remaining)
+            except FabricCancelledError:
+                breaker.release_probe()
+                raise
             except FabricSaturatedError as error:
                 breaker.release_probe()
                 response = error_response(

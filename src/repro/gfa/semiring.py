@@ -53,9 +53,8 @@ class Semiring(Protocol[Element]):
 class SemiLinearSemiring:
     """The semiring (SL, (+), (x), 0, 1) of §5.3 for a fixed dimension."""
 
-    def __init__(self, dimension: int, simplify: bool = True):
+    def __init__(self, dimension: int):
         self.dimension = dimension
-        self.simplify_results = simplify
 
     def zero(self) -> SemiLinearSet:
         return SemiLinearSet.empty(self.dimension)
@@ -64,12 +63,10 @@ class SemiLinearSemiring:
         return SemiLinearSet.unit(self.dimension)
 
     def combine(self, left: SemiLinearSet, right: SemiLinearSet) -> SemiLinearSet:
-        result = left.combine(right)
-        return result.simplify() if self.simplify_results else result
+        return left.combine(right).simplify()
 
     def extend(self, left: SemiLinearSet, right: SemiLinearSet) -> SemiLinearSet:
-        result = left.extend(right)
-        return result.simplify() if self.simplify_results else result
+        return left.extend(right).simplify()
 
     def star(self, element: SemiLinearSet) -> SemiLinearSet:
         return element.star()

@@ -28,9 +28,8 @@ restructured around the tree-automaton grammar core:
   random set ``Er`` grew).  Banks are cached per
   ``(grammar fingerprint, examples)`` and whole outcomes per
   ``(bank key, size budget, term budget)``, so such repeat rounds cost a
-  dictionary lookup instead of a full re-enumeration.  Outcomes ended by
-  the wall-clock stopwatch are never cached (they are not deterministic);
-  budget-exhausted and exhaustive outcomes are.
+  dictionary lookup instead of a full re-enumeration.  An outcome is
+  determined by its key, so every outcome is cached.
 """
 
 from __future__ import annotations
@@ -99,15 +98,9 @@ class _Bank:
 class EnumerativeSynthesizer:
     """Size-indexed bottom-up enumeration with OE dedup and memoized banks."""
 
-    def __init__(
-        self,
-        max_size: int = 12,
-        max_terms: int = 200_000,
-        timeout_seconds: Optional[float] = None,
-    ):
+    def __init__(self, max_size: int = 12, max_terms: int = 200_000):
         self.max_size = max_size
         self.max_terms = max_terms
-        self.timeout_seconds = timeout_seconds
         self._banks: "OrderedDict[Hashable, _Bank]" = OrderedDict()
         self._reduced: "OrderedDict[Hashable, RegularTreeGrammar]" = OrderedDict()
         self._outcomes: "OrderedDict[Hashable, SynthesisOutcome]" = OrderedDict()
@@ -118,7 +111,7 @@ class EnumerativeSynthesizer:
         self, problem: SyGuSProblem, examples: ExampleSet
     ) -> SynthesisOutcome:
         """Find a term of the grammar consistent with the examples, if any."""
-        stopwatch = Stopwatch(self.timeout_seconds)
+        stopwatch = Stopwatch()
         grammar = problem.grammar
         if len(examples) == 0:
             # Any productive term works; enumerate the first one.
@@ -142,8 +135,7 @@ class EnumerativeSynthesizer:
             self._cache_put(self._banks, bank_key, bank)
 
         outcome = self._run(problem, bank, stopwatch)
-        if outcome.details.get("reason") != "timeout":
-            self._cache_put(self._outcomes, outcome_key, outcome)
+        self._cache_put(self._outcomes, outcome_key, outcome)
         return outcome
 
     # -- enumeration -----------------------------------------------------------
@@ -191,14 +183,13 @@ class EnumerativeSynthesizer:
                                 stopwatch.elapsed(),
                                 details=counters(),
                             )
-                if bank.explored > self.max_terms or stopwatch.expired():
-                    reason = "timeout" if stopwatch.expired() else "budget"
+                if bank.explored > self.max_terms:
                     return SynthesisOutcome(
                         None,
                         bank.explored,
                         stopwatch.elapsed(),
                         exhausted=False,
-                        details={"reason": reason, **counters()},
+                        details={"reason": "budget", **counters()},
                     )
             bank.completed_size = size
         return SynthesisOutcome(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.semantics.examples import Example, ExampleSet
@@ -40,6 +40,16 @@ from repro.utils.timing import Stopwatch
 #: Signature of an injected unrealizability checker (Alg. 2's "thread 2").
 Checker = Callable[[SyGuSProblem, ExampleSet], CheckResult]
 
+#: Range random examples are drawn from (the seed set and Alg. 2's ``Er``).
+EXAMPLE_LOW = -50
+EXAMPLE_HIGH = 50
+
+#: How many random temporary examples ``Er`` may grow to before giving up.
+MAX_RANDOM_EXAMPLES = 6
+
+#: Term budget of one enumerative synthesis round.
+SYNTHESIZER_MAX_TERMS = 50_000
+
 
 @dataclass
 class NayConfig:
@@ -47,13 +57,9 @@ class NayConfig:
 
     mode: str = "sl"  # "sl" = exact semi-linear sets, "horn" = approximate
     seed: Optional[int] = None
-    example_low: int = -50
-    example_high: int = 50
     max_iterations: int = 40
-    max_random_examples: int = 6
     timeout_seconds: Optional[float] = None
     synthesizer_max_size: int = 10
-    synthesizer_max_terms: int = 50_000
     stratify: bool = True
     #: Grammar reduction applied before equation building: ``"off"``,
     #: ``"reduce"`` (language-preserving merge of equal nonterminals) or
@@ -73,7 +79,7 @@ class NaySolver:
         self.config = config or NayConfig()
         self.synthesizer = EnumerativeSynthesizer(
             max_size=self.config.synthesizer_max_size,
-            max_terms=self.config.synthesizer_max_terms,
+            max_terms=SYNTHESIZER_MAX_TERMS,
         )
         self.verifier = Verifier()
 
@@ -113,7 +119,7 @@ class NaySolver:
             examples = initial_examples
         else:
             examples = ExampleSet.random(
-                problem.variables, 1, rng, config.example_low, config.example_high
+                problem.variables, 1, rng, EXAMPLE_LOW, EXAMPLE_HIGH
             )
         random_examples = ExampleSet()
 
@@ -164,11 +170,11 @@ class NaySolver:
 
             # The check says realizable/unknown on the current examples and the
             # synthesizer ran out of budget: add a random temporary example.
-            if len(random_examples) >= config.max_random_examples:
+            if len(random_examples) >= MAX_RANDOM_EXAMPLES:
                 return self._timeout(examples, iterations, stopwatch)
             random_examples = random_examples.union(
                 ExampleSet.random(
-                    problem.variables, 1, rng, config.example_low, config.example_high
+                    problem.variables, 1, rng, EXAMPLE_LOW, EXAMPLE_HIGH
                 )
             )
 

@@ -75,7 +75,6 @@ def solve_clia_gfa(
     grammar: RegularTreeGrammar,
     examples: ExampleSet,
     stratify: bool = True,
-    simplify: bool = True,
     max_outer_iterations: int | None = None,
     strategy: str = WORKLIST,
     interpretation: CliaInterpretation | None = None,
@@ -105,7 +104,7 @@ def solve_clia_gfa(
     dimension = len(examples)
     if interpretation is None:
         interpretation = CliaInterpretation(examples)
-    semiring = SemiLinearSemiring(dimension, simplify=simplify)
+    semiring = SemiLinearSemiring(dimension)
 
     integer_nts = [nt for nt in normalized.nonterminals if nt.sort == Sort.INT]
     boolean_nts = [nt for nt in normalized.nonterminals if nt.sort == Sort.BOOL]

@@ -54,7 +54,6 @@ def solve_lia_gfa(
     grammar: RegularTreeGrammar,
     examples: ExampleSet,
     stratify: bool = True,
-    simplify: bool = True,
     strategy: str = "worklist",
     prune: str = "off",
 ) -> GfaSolution:
@@ -79,7 +78,7 @@ def solve_lia_gfa(
         raise UnsupportedFeatureError(
             "grammar is not an LIA grammar; use the CLIA procedure instead"
         )
-    semiring = SemiLinearSemiring(len(examples), simplify=simplify)
+    semiring = SemiLinearSemiring(len(examples))
 
     start_time = time.monotonic()
     report: Optional[PruneReport] = None

@@ -17,9 +17,11 @@ interchangeable backends exist:
   object dispatch, no ``zip`` of lazily re-created pairs);
 * :data:`NUMPY_OPS` — the optional accelerator: columns are ``numpy``
   arrays (``int64`` for ints, ``bool`` for masks, ``float64`` with ``±inf``
-  for interval bounds).  numpy is a **soft dependency**: when the import
-  fails (or ``REPRO_NAY_COLUMNS=python`` is set) the pure-Python backend is
-  selected at import time and nothing else changes.
+  for interval bounds).  numpy is a **soft dependency**: it is used
+  whenever it can be imported; otherwise the pure-Python backend is
+  selected at import time and nothing else changes.  The backends are
+  bit-identical, so no setting chooses between them; the differential
+  tests and the perf harness switch explicitly with :func:`use_backend`.
 
 Exactness contract: the numpy backend must return bit-identical results to
 the pure-Python backend.  Integer columns are guarded at construction —
@@ -38,7 +40,6 @@ representations.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from operator import add as _add, neg as _neg, sub as _sub
 from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
@@ -58,10 +59,6 @@ _BOUND_LIMIT = 2 ** 53
 #: Largest magnitude accepted by the numpy int64 integer columns.  One bit
 #: of headroom below int64 keeps a single add/sub/scale step from wrapping.
 _INT64_LIMIT = 2 ** 62
-
-#: Environment knob: ``numpy`` (require it), ``python`` (never use numpy),
-#: or ``auto`` (the default: numpy when importable).
-_ENV_KNOB = "REPRO_NAY_COLUMNS"
 
 
 class ColumnOverflowError(ReproError):
@@ -548,20 +545,8 @@ PYTHON_OPS: ColumnOps = PythonColumnOps()
 NUMPY_OPS: Optional[ColumnOps] = _build_numpy_ops()
 
 
-def _select_default() -> ColumnOps:
-    knob = os.environ.get(_ENV_KNOB, "auto").strip().lower()
-    if knob == "python":
-        return PYTHON_OPS
-    if knob == "numpy":
-        if NUMPY_OPS is None:
-            raise ReproError(
-                f"{_ENV_KNOB}=numpy requested but numpy is not importable"
-            )
-        return NUMPY_OPS
-    return NUMPY_OPS if NUMPY_OPS is not None else PYTHON_OPS
-
-
-_ACTIVE: ColumnOps = _select_default()
+#: The active backend: numpy when importable, else pure Python.
+_ACTIVE: ColumnOps = NUMPY_OPS if NUMPY_OPS is not None else PYTHON_OPS
 
 
 def active_ops() -> ColumnOps:

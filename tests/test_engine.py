@@ -202,12 +202,6 @@ class TestCache:
         assert system_one is system_two
         assert cache.stats.equations_hits == 1
 
-    def test_disabled_cache_rebuilds(self):
-        cache = GfaCache(enabled=False)
-        grammar = chain_grammar(3)
-        assert cache.normalized(grammar) is not cache.normalized(grammar)
-        assert cache.stats.normalize_hits == 0
-
     def test_lru_eviction_bounds_entries(self):
         cache = GfaCache(max_entries=2)
         for length in (2, 3, 4, 5):

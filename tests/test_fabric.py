@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import signal
+import sys
 import threading
 import time
 
@@ -20,6 +21,7 @@ from repro.api.wire import SolveRequest, SolveResponse
 from repro.engine.supervisor import (
     BreakerBoard,
     CircuitBreaker,
+    FabricCancelledError,
     FabricTimeoutError,
     RetryPolicy,
     Supervisor,
@@ -234,6 +236,43 @@ class TestCrashRecovery:
             fabric.shutdown()
 
 
+class TestCancellation:
+    def test_cancelled_solve_kills_its_worker_and_hands_the_probe_back(self):
+        board = BreakerBoard(threshold=1, cooldown_seconds=0.0)
+        board.for_engine("naySL").record_failure()  # open; next allow() probes
+        fabric = Supervisor(1, warm=False, breakers=board, name="t-cancel")
+        cancel = threading.Event()
+        holder = {}
+
+        def leg():
+            try:
+                fabric.solve(request("slow@*:5.0"), cancel)
+            except FabricCancelledError as error:
+                holder["error"] = error
+
+        try:
+            doomed = fabric.worker_pids()
+            thread = threading.Thread(target=leg)
+            thread.start()
+            deadline = time.monotonic() + 5.0
+            while not fabric.busy_pids() and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert fabric.busy_pids() == doomed
+            cancel.set()
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+            assert "error" in holder
+            assert_dead(doomed)
+            assert len(fabric.worker_pids()) == 1  # replaced
+            assert fabric.stats.snapshot()["jobs_cancelled"] == 1
+            # The half-open probe went back unspent: the next request probes.
+            assert board.for_engine("naySL").snapshot()["state"] == "open"
+            assert fabric.solve(request()).verdict == "unrealizable"
+            assert board.for_engine("naySL").snapshot()["state"] == "closed"
+        finally:
+            fabric.shutdown()
+
+
 class TestTimeouts:
     def test_hung_worker_hits_the_harvest_deadline(self):
         fabric = Supervisor(1, warm=False, name="t-hang")
@@ -325,6 +364,163 @@ class TestBreakersOnTheFabric:
         assert race.verdict == "unrealizable"
         assert "skipped" not in race.details["portfolio"]
         assert get_breakers().for_engine("nayHorn").snapshot()["state"] == "closed"
+
+
+def kill_the_running_leg(fabric):
+    """Once one race leg has answered, SIGKILL the worker still solving."""
+    deadline = time.monotonic() + 5.0
+    while time.monotonic() < deadline:
+        busy = fabric.busy_pids()
+        if fabric.stats.snapshot().get("jobs_completed") and len(busy) == 1:
+            os.kill(busy[0], signal.SIGKILL)
+            return busy[0]
+        time.sleep(0.02)
+    raise AssertionError("no race leg ever ran alone")
+
+
+def race_in_thread(solver, holder):
+    """Race LimitedIf/max2: nayInt answers ``unknown`` at once, naySL
+    sleeps a second and then proves it unrealizable."""
+    from repro.suites import get_benchmark
+
+    thread = threading.Thread(
+        target=lambda: holder.update(
+            race=solver.solve(
+                get_benchmark("max2", "LimitedIf"), tags={"faults": "slow@naySL:1.0"}
+            )
+        )
+    )
+    thread.start()
+    return thread
+
+
+class TestPortfolioOnTheFabric:
+    def test_race_leg_killed_mid_solve_is_retried(self):
+        """A race leg gets the fabric's retry: kill -9 of its worker
+        mid-solve is no crash of the race, and no failure of the engine."""
+        from repro.api import Solver
+
+        fabric = Supervisor(2, warm=False, name="t-race-kill9")
+        install_fabric(fabric)
+        holder = {}
+        try:
+            solver = Solver("portfolio", engines=["nayInt", "naySL"], timeout_seconds=30)
+            thread = race_in_thread(solver, holder)
+            kill_the_running_leg(fabric)
+            thread.join(timeout=60.0)
+            assert not thread.is_alive()
+            race = well_formed(holder["race"])
+            assert race.verdict == "unrealizable"
+            assert race.engine == "naySL"
+            assert race.solver_stats["retries"] >= 1
+            assert "crashed" not in race.details["portfolio"]
+            breaker = get_breakers().for_engine("naySL").snapshot()
+            assert breaker["state"] == "closed"
+            assert breaker["consecutive_failures"] == 0
+        finally:
+            shutdown_fabric()
+
+    def test_breakers_decide_which_legs_run(self):
+        """A leg its open breaker refuses is skipped; a leg that runs as a
+        half-open probe and loses hands the probe back; with every breaker
+        open the race answers an error naming them."""
+        from repro.api import Solver
+
+        board = get_breakers()
+        for name in ("nope", "nayHorn"):
+            for _ in range(board.threshold):
+                board.for_engine(name).record_failure()
+        board.for_engine("nayHorn")._opened_at -= board.cooldown_seconds  # probe due
+
+        solver = Solver(
+            "portfolio", engines=["naySL", "nayHorn", "nope"], timeout_seconds=30
+        )
+        race = solver.solve("plane1", tags={"faults": "slow@nayHorn:5.0"})
+        assert race.engine == "naySL"
+        assert race.details["portfolio"]["skipped"] == ["nope"]
+        assert race.details["portfolio"]["cancelled"] == ["nayHorn", "nope"]
+        assert board.for_engine("nayHorn").snapshot()["state"] == "open"
+        assert board.allow("nayHorn")  # the unspent probe is due again
+
+        for _ in range(board.threshold):
+            board.for_engine("naySL").record_failure()
+        refused = well_formed(solver.solve("plane1"))
+        assert refused.verdict == "error"
+        assert refused.error.startswith(
+            "portfolio: every selected engine's circuit breaker is open "
+            "(nayHorn, naySL, nope)"
+        )
+        assert refused.details["portfolio"] == {
+            "winner": None,
+            "race_seconds": 0.0,
+            "finished": [],
+            "cancelled": ["nayHorn", "naySL", "nope"],
+            "skipped": ["nayHorn", "naySL", "nope"],
+        }
+
+    def test_workers_after_a_race(self, monkeypatch):
+        """On an ambient fabric a race's losers are replaced, so the pool
+        keeps its size; an ephemeral race leaves no worker alive, not even
+        the replacement it spawned mid-race for a retried leg."""
+        from repro.api import Solver
+
+        solver = Solver("portfolio", engines=["naySL", "nayHorn"], timeout_seconds=30)
+        slow_loser = {"faults": "slow@nayHorn:5.0"}
+
+        fabric = Supervisor(2, warm=False, name="t-race-ambient")
+        install_fabric(fabric)
+        try:
+            before = fabric.worker_pids()
+            race = solver.solve("plane1", tags=slow_loser)
+            assert race.engine == "naySL"
+            assert race.details["portfolio"]["cancelled"] == ["nayHorn"]
+            after = fabric.worker_pids()
+            assert len(after) == fabric.size
+            losers = set(before) - set(after)
+            assert len(losers) == 1  # nayHorn's worker, killed and replaced
+            assert_dead(losers)
+            assert fabric.stats.snapshot()["workers_replaced"] == 1
+        finally:
+            shutdown_fabric()
+
+        pools, spawned = [], []
+        spawn = Supervisor._spawn
+
+        def recording_spawn(supervisor):
+            worker = spawn(supervisor)
+            pools.append(supervisor)
+            spawned.append(worker.pid)
+            return worker
+
+        monkeypatch.setattr(Supervisor, "_spawn", recording_spawn)
+        # More legs than cores, and threads that switch often: the pool is
+        # shut down under running legs, and none of its workers outlives it.
+        legs = ["naySL", "nayHorn", "nope", "nayInt"]
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(3):
+                race = solver.solve("plane1", engines=legs, tags=slow_loser)
+                assert race.verdict == "unrealizable"
+                assert "nayHorn" in race.details["portfolio"]["cancelled"]
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert len(spawned) == 3 * len(legs)  # one per leg; no loser replaced
+        assert_dead(spawned)
+
+        del pools[:], spawned[:]
+        holder = {}
+        solver = Solver("portfolio", engines=["nayInt", "naySL"], timeout_seconds=30)
+        thread = race_in_thread(solver, holder)
+        deadline = time.monotonic() + 5.0
+        while not pools and time.monotonic() < deadline:
+            time.sleep(0.01)
+        kill_the_running_leg(pools[0])
+        thread.join(timeout=60.0)
+        assert not thread.is_alive()
+        assert holder["race"].verdict == "unrealizable"
+        assert len(spawned) == 3  # two legs, and naySL's replacement
+        assert_dead(spawned)
 
 
 class TestRunnerOnTheFabric:
