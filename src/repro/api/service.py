@@ -33,7 +33,8 @@ Robustness posture:
   :class:`~repro.engine.store.ResultStore` is configured (``--store`` /
   ``REPRO_NAY_STORE``), the handler is the request's door: it looks the
   request up (:func:`repro.engine.store.lookup`) *before* admission
-  control, so a store hit costs one SQLite read, never a 503 +
+  control, so a store hit costs one short write transaction (the read and
+  its LRU tick) on the process's one store connection, never a 503 +
   ``Retry-After``, and survives server restarts; the dedup leader records
   the response it solved (:func:`repro.engine.store.record`), under the
   same key.  Nothing below the handler — fabric workers, portfolio legs,
@@ -295,8 +296,9 @@ class ApiRequestHandler(BaseHTTPRequestHandler):
         """The status, payload and extra headers answering one request."""
         prepared = self.server.solver.prepare(request)
         # The store answers before admission control: a hit costs one
-        # SQLite read, so it never occupies a solve slot and is never
-        # refused with 503 + Retry-After.
+        # short write transaction on the process's one store connection,
+        # so it never occupies a solve slot and is never refused with
+        # 503 + Retry-After.
         key, hit = lookup(prepared)
         if hit is not None:
             return 200, hit, None
@@ -382,7 +384,8 @@ def serve(
     The persistent result store is the ambient one
     (:func:`~repro.engine.store.get_result_store`: the CLI's ``--store``, or
     ``REPRO_NAY_STORE``).  Only the handler reads and writes it, so the
-    worker processes never need its path.
+    worker processes never need its path.  Every handler thread shares the
+    store's one connection, which is closed on exit.
     """
     from repro.engine.supervisor import Supervisor, install_fabric, shutdown_fabric
 
@@ -427,4 +430,6 @@ def serve(
             signal.signal(signal.SIGTERM, previous_term or signal.SIG_DFL)
         server.server_close()
         shutdown_fabric()
+        if store is not None:
+            store.close()  # checkpoints the WAL once per server
     return 0

@@ -11,11 +11,14 @@ over the same directory pays for each solve exactly once.
 Design points (documented in docs/architecture/fabric.md):
 
 * **SQLite with WAL** (stdlib :mod:`sqlite3`, no new dependencies): WAL
-  lets concurrent readers proceed under a single writer, which matches the
-  access pattern of a threading HTTP server.  Connections are per-thread
-  *and* per-pid — a store object inherited through ``fork`` or re-created
-  by ``spawn`` (via :meth:`__reduce__`) reopens its own connection instead
-  of sharing a file handle.
+  lets one process read while another writes the same file.  Each process
+  opens **one connection** per store, lazily, and every thread shares it
+  under one lock held across each whole operation, so a threading HTTP
+  server does not open a connection per request (and close it, which
+  checkpoints the WAL and deletes ``-wal``/``-shm``, as each request
+  thread exits).  A store object inherited through ``fork`` drops the
+  parent's connection and lock and opens its own; one re-created by
+  ``spawn`` (via :meth:`__reduce__`) starts with none.
 * **One key space** — ``fingerprint`` is :func:`request_key`, a SHA-256
   over the canonical JSON of the *semantic* wire request
   (:func:`repro.engine.results.request_fingerprint`), ``engine`` names the
@@ -33,10 +36,12 @@ Design points (documented in docs/architecture/fabric.md):
   tick; a put that pushes the file's payload bytes over ``max_bytes``
   deletes least-recently-accessed rows (never the row just written) until
   the bound holds again.
-* **Corruption tolerance** — a damaged store file is renamed aside
-  (``<path>.corrupt-<pid>-<n>``) and a fresh store is created in its
-  place; no store operation is ever fatal to the caller (failures count in
-  the ``errors`` counter and degrade to miss/no-op).
+* **Corruption tolerance** — a damaged store file (SQLite reports it
+  corrupt or not a database) is renamed aside (``<path>.corrupt-<pid>-<n>``)
+  and a fresh store is created in its place; a locked file or an I/O
+  error is not damage and is never moved.  No store operation is ever
+  fatal to the caller (failures count in the ``errors`` counter and
+  degrade to miss/no-op).
 * **Bypass rules** — the helpers neither read nor write the store while
   fault injection is armed (:func:`repro.testing.faults.faults_armed`) or
   for a ``path`` that is not a regular file (its text cannot be keyed),
@@ -59,8 +64,10 @@ import sqlite3
 import stat
 import threading
 import time
+import weakref
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.api.wire import (
     DEFINITIVE_VERDICTS,
@@ -152,13 +159,60 @@ def pristine_response(payload: Dict[str, Any]) -> Dict[str, Any]:
     return payload
 
 
+def _is_corrupt(error: sqlite3.DatabaseError) -> bool:
+    """Does the error say the file is damaged (so it is quarantined)?
+
+    SQLite's SQLITE_CORRUPT ("database disk image is malformed") and
+    SQLITE_NOTADB ("file is not a database") reach Python as a plain
+    :class:`sqlite3.DatabaseError`.  A file locked past the busy timeout,
+    an I/O error or a full disk raises a subclass
+    (:class:`sqlite3.OperationalError`): the file is healthy.
+    """
+    return type(error) is sqlite3.DatabaseError
+
+
+@contextmanager
+def _immediate(conn: sqlite3.Connection) -> Iterator[None]:
+    """One ``BEGIN IMMEDIATE`` ... ``COMMIT`` transaction, rolled back on
+    any exception."""
+    conn.execute("BEGIN IMMEDIATE")
+    try:
+        yield
+        conn.execute("COMMIT")
+    except BaseException:
+        # SQLite may already have rolled back (SQLITE_BUSY, SQLITE_IOERR):
+        # a bare ROLLBACK would raise over the error that decides whether
+        # the file is quarantined.
+        if conn.in_transaction:
+            conn.execute("ROLLBACK")
+        raise
+
+
+#: Every live store, so a forked child can reset their connections and locks.
+_STORES: "weakref.WeakSet[ResultStore]" = weakref.WeakSet()
+
+#: Connections a forked child inherited mid-operation: never used or closed.
+_INHERITED_CONNECTIONS: List[sqlite3.Connection] = []
+
+
+def _reset_stores_after_fork() -> None:
+    for store in list(_STORES):
+        store._after_fork()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_stores_after_fork)
+
+
 class ResultStore:
     """One SQLite-backed result store file (see the module docstring).
 
-    Thread-safe and process-safe: connections are opened lazily per
-    (thread, pid), every multi-statement operation runs in an immediate
-    transaction, and WAL + a busy timeout arbitrate concurrent writers.
-    Instances pickle by ``(path, max_bytes)`` — counters are per-process.
+    Thread-safe and process-safe: each process opens one connection
+    lazily, every thread uses it under :attr:`_lock` (held across each
+    whole operation, so one thread's transaction never interleaves with
+    another's), and WAL + a busy timeout arbitrate writers in other
+    processes.  Instances pickle by ``(path, max_bytes)`` — counters are
+    per-process.
     """
 
     def __init__(self, path: "str | Path", max_bytes: Optional[int] = None):
@@ -168,7 +222,9 @@ class ResultStore:
             max_bytes = int(raw) if raw else DEFAULT_MAX_BYTES
         self.max_bytes = max(1, int(max_bytes))
         self.busy_timeout_seconds = 10.0
-        self._local = threading.local()
+        #: Guards :attr:`_conn` and every statement run on it.
+        self._lock = threading.Lock()
+        self._conn: Optional[sqlite3.Connection] = None
         self._counter_lock = threading.Lock()
         self._counters = {
             "hits": 0,
@@ -179,6 +235,7 @@ class ResultStore:
             "errors": 0,
         }
         self._quarantines = 0
+        _STORES.add(self)
 
     def __reduce__(self):
         return (type(self), (self.path, self.max_bytes))
@@ -186,19 +243,17 @@ class ResultStore:
     # -- connection management -------------------------------------------------
 
     def _connection(self) -> sqlite3.Connection:
-        """The calling thread's connection, reopened after a fork."""
-        conn = getattr(self._local, "conn", None)
-        if conn is not None and getattr(self._local, "pid", None) == os.getpid():
-            return conn
-        try:
-            conn = self._open()
-        except sqlite3.DatabaseError:
-            # A damaged file must never be fatal: move it aside, start over.
-            self._quarantine()
-            conn = self._open()
-        self._local.conn = conn
-        self._local.pid = os.getpid()
-        return conn
+        """The process's connection, opened on first use (hold the lock)."""
+        if self._conn is None:
+            try:
+                self._conn = self._open()
+            except sqlite3.DatabaseError as error:
+                if not _is_corrupt(error):
+                    raise
+                # A damaged file must never be fatal: move it aside, start over.
+                self._quarantine()
+                self._conn = self._open()
+        return self._conn
 
     def _open(self) -> sqlite3.Connection:
         parent = Path(self.path).parent
@@ -208,14 +263,32 @@ class ResultStore:
             self.path,
             timeout=self.busy_timeout_seconds,
             isolation_level=None,  # autocommit; transactions are explicit
+            check_same_thread=False,  # shared by every thread under the lock
         )
         conn.execute("PRAGMA journal_mode=WAL")
         conn.execute("PRAGMA synchronous=NORMAL")
         conn.executescript(_SCHEMA)
         return conn
 
+    def _fail(self, error: sqlite3.DatabaseError) -> None:
+        """Count a failed operation (hold the lock).
+
+        Only a corrupt file is quarantined; after any other error (the file
+        locked past the busy timeout, a disk I/O error) the connection is
+        dropped, so the next operation starts on a fresh one.
+        """
+        self._count("errors")
+        if _is_corrupt(error):
+            self._quarantine()
+        else:
+            self._drop_connection()
+
     def _quarantine(self) -> None:
-        """Rename the (corrupt) store file aside so ``_open`` starts fresh."""
+        """Rename the (corrupt) store file aside so ``_open`` starts fresh.
+
+        Drops the one shared connection: every thread's next operation
+        reopens the fresh file.
+        """
         self._drop_connection()
         self._quarantines += 1
         aside = f"{self.path}.corrupt-{os.getpid()}-{self._quarantines}"
@@ -228,17 +301,37 @@ class ResultStore:
                     pass
 
     def _drop_connection(self) -> None:
-        conn = getattr(self._local, "conn", None)
+        conn, self._conn = self._conn, None
         if conn is not None:
             try:
                 conn.close()
             except sqlite3.Error:
                 pass
-            self._local.conn = None
+
+    def _after_fork(self) -> None:
+        """Forget the parent's connection and locks in a forked child.
+
+        A parent thread may have held either lock when the process forked.
+        The parent's connection is closed here unless an operation was
+        running on it: a thread inside SQLite holds the connection's own
+        mutex, so closing it would block forever, and it is kept instead,
+        never used or closed.
+        """
+        if self._conn is not None and self._lock.locked():
+            _INHERITED_CONNECTIONS.append(self._conn)
+            self._conn = None
+        self._drop_connection()
+        self._lock = threading.Lock()
+        self._counter_lock = threading.Lock()
 
     def close(self) -> None:
-        """Close the calling thread's connection (others close on GC)."""
-        self._drop_connection()
+        """Close the process's connection (the next operation reopens it).
+
+        The last connection to the file closing checkpoints the WAL into the
+        database and deletes ``-wal``/``-shm``; ``serve`` calls this on exit.
+        """
+        with self._lock:
+            self._drop_connection()
 
     # -- counters --------------------------------------------------------------
 
@@ -267,26 +360,28 @@ class ResultStore:
             "max_bytes": self.max_bytes,
             **self.counters,
         }
-        try:
-            conn = self._connection()
-            row = conn.execute(
-                "SELECT COUNT(*), COALESCE(SUM(size_bytes), 0) FROM results"
-            ).fetchone()
-            snapshot["entries"] = row[0]
-            snapshot["size_bytes"] = row[1]
-            snapshot["stores_total"] = self._meta(conn, "stores_total")
-            snapshot["evictions_total"] = self._meta(conn, "evictions_total")
-        except sqlite3.Error:
-            snapshot["entries"] = None
-            snapshot["size_bytes"] = None
+        with self._lock:
+            try:
+                conn = self._connection()
+                row = conn.execute(
+                    "SELECT COUNT(*), COALESCE(SUM(size_bytes), 0) FROM results"
+                ).fetchone()
+                snapshot["entries"] = row[0]
+                snapshot["size_bytes"] = row[1]
+                snapshot["stores_total"] = self._meta(conn, "stores_total")
+                snapshot["evictions_total"] = self._meta(conn, "evictions_total")
+            except sqlite3.Error:
+                snapshot["entries"] = None
+                snapshot["size_bytes"] = None
         return snapshot
 
     def stores_recorded(self) -> int:
         """Cross-process total of puts into this file (0 on any failure)."""
-        try:
-            return self._meta(self._connection(), "stores_total")
-        except sqlite3.Error:
-            return 0
+        with self._lock:
+            try:
+                return self._meta(self._connection(), "stores_total")
+            except sqlite3.Error:
+                return 0
 
     @staticmethod
     def _meta(conn: sqlite3.Connection, key: str) -> int:
@@ -314,35 +409,29 @@ class ResultStore:
 
         A hit bumps the row's access tick (the LRU ordering) and count.
         Undecodable rows are deleted and reported as misses; any database
-        error degrades to a miss after quarantining the file.
+        error degrades to a miss (a corrupt file is quarantined).
         """
         key = (fingerprint, engine, int(schema_version))
-        try:
-            conn = self._connection()
-            conn.execute("BEGIN IMMEDIATE")
+        with self._lock:
             try:
-                row = conn.execute(
-                    "SELECT response FROM results WHERE fingerprint = ? "
-                    "AND engine = ? AND schema_version = ?",
-                    key,
-                ).fetchone()
-                if row is not None:
-                    tick = self._bump_meta(conn, "tick")
-                    conn.execute(
-                        "UPDATE results SET last_access = ?, "
-                        "access_count = access_count + 1 WHERE fingerprint = ? "
+                conn = self._connection()
+                with _immediate(conn):
+                    row = conn.execute(
+                        "SELECT response FROM results WHERE fingerprint = ? "
                         "AND engine = ? AND schema_version = ?",
-                        (tick, *key),
-                    )
-                conn.execute("COMMIT")
-            except BaseException:
-                conn.execute("ROLLBACK")
-                raise
-        except sqlite3.DatabaseError:
-            self._count("errors")
-            self._quarantine()
-            self._count("misses")
-            return None
+                        key,
+                    ).fetchone()
+                    if row is not None:
+                        tick = self._bump_meta(conn, "tick")
+                        conn.execute(
+                            "UPDATE results SET last_access = ?, "
+                            "access_count = access_count + 1 WHERE fingerprint = ? "
+                            "AND engine = ? AND schema_version = ?",
+                            (tick, *key),
+                        )
+            except sqlite3.DatabaseError as error:
+                self._fail(error)
+                row = None
         if row is None:
             self._count("misses")
             return None
@@ -351,14 +440,15 @@ class ResultStore:
         except ValueError:
             # A torn row is unreadable, not fatal: drop it, report a miss.
             self._count("errors")
-            try:
-                conn.execute(
-                    "DELETE FROM results WHERE fingerprint = ? AND engine = ? "
-                    "AND schema_version = ?",
-                    key,
-                )
-            except sqlite3.Error:
-                pass
+            with self._lock:
+                try:
+                    self._connection().execute(
+                        "DELETE FROM results WHERE fingerprint = ? AND engine = ? "
+                        "AND schema_version = ?",
+                        key,
+                    )
+                except sqlite3.Error:
+                    pass
             self._count("misses")
             return None
         self._count("hits")
@@ -377,7 +467,7 @@ class ResultStore:
         larger than the whole eviction bound.  After the insert,
         least-recently-accessed rows (never the one just written) are
         deleted until the payload bytes fit ``max_bytes`` again.  Errors
-        degrade to ``(False, 0)`` after quarantining the file.
+        degrade to ``(False, 0)`` (a corrupt file is quarantined).
         """
         if not response_cacheable(payload):
             return False, 0
@@ -387,43 +477,40 @@ class ResultStore:
             return False, 0
         key = (fingerprint, engine, int(schema_version))
         evicted = 0
-        try:
-            conn = self._connection()
-            conn.execute("BEGIN IMMEDIATE")
+        with self._lock:
             try:
-                tick = self._bump_meta(conn, "tick")
-                conn.execute(
-                    "INSERT OR REPLACE INTO results (fingerprint, engine, "
-                    "schema_version, response, size_bytes, created_unix, "
-                    "last_access, access_count) VALUES (?, ?, ?, ?, ?, ?, ?, 0)",
-                    (*key, body, size, time.time(), tick),
-                )
-                self._bump_meta(conn, "stores_total")
-                total = conn.execute(
-                    "SELECT COALESCE(SUM(size_bytes), 0) FROM results"
-                ).fetchone()[0]
-                while total > self.max_bytes:
-                    victim = conn.execute(
-                        "SELECT rowid, size_bytes FROM results WHERE NOT "
-                        "(fingerprint = ? AND engine = ? AND schema_version = ?) "
-                        "ORDER BY last_access ASC, rowid ASC LIMIT 1",
-                        key,
-                    ).fetchone()
-                    if victim is None:
-                        break
-                    conn.execute("DELETE FROM results WHERE rowid = ?", (victim[0],))
-                    total -= victim[1]
-                    evicted += 1
-                if evicted:
-                    self._bump_meta(conn, "evictions_total", evicted)
-                conn.execute("COMMIT")
-            except BaseException:
-                conn.execute("ROLLBACK")
-                raise
-        except sqlite3.DatabaseError:
-            self._count("errors")
-            self._quarantine()
-            return False, 0
+                conn = self._connection()
+                with _immediate(conn):
+                    tick = self._bump_meta(conn, "tick")
+                    conn.execute(
+                        "INSERT OR REPLACE INTO results (fingerprint, engine, "
+                        "schema_version, response, size_bytes, created_unix, "
+                        "last_access, access_count) VALUES (?, ?, ?, ?, ?, ?, ?, 0)",
+                        (*key, body, size, time.time(), tick),
+                    )
+                    self._bump_meta(conn, "stores_total")
+                    total = conn.execute(
+                        "SELECT COALESCE(SUM(size_bytes), 0) FROM results"
+                    ).fetchone()[0]
+                    while total > self.max_bytes:
+                        victim = conn.execute(
+                            "SELECT rowid, size_bytes FROM results WHERE NOT "
+                            "(fingerprint = ? AND engine = ? AND schema_version = ?) "
+                            "ORDER BY last_access ASC, rowid ASC LIMIT 1",
+                            key,
+                        ).fetchone()
+                        if victim is None:
+                            break
+                        conn.execute(
+                            "DELETE FROM results WHERE rowid = ?", (victim[0],)
+                        )
+                        total -= victim[1]
+                        evicted += 1
+                    if evicted:
+                        self._bump_meta(conn, "evictions_total", evicted)
+            except sqlite3.DatabaseError as error:
+                self._fail(error)
+                return False, 0
         self._count("stores")
         if evicted:
             self._count("evictions", evicted)

@@ -599,6 +599,20 @@ class Supervisor:
 
     # -- checkout / submit / harvest ------------------------------------------
 
+    def _ready_index(self) -> int:
+        """Index of the idle worker to check out (hold the lock).
+
+        The newest worker whose handshake is consumed or already waiting in
+        its pipe, else the newest: a replacement spawned after a crash is
+        still starting up, and a request checked out on it would wait for
+        its handshake while handshaken workers sit idle.
+        """
+        for index in range(len(self._idle) - 1, -1, -1):
+            worker = self._idle[index]
+            if worker.ready or worker.conn.poll(0):
+                return index
+        return -1
+
     def _checkout(
         self, timeout: Optional[float], cancel: Optional[threading.Event]
     ) -> _Worker:
@@ -628,7 +642,7 @@ class Supervisor:
                             CANCEL_SLICE_SECONDS if remaining is None else remaining,
                         )
                     self._cond.wait(remaining)
-                worker = self._idle.pop()
+                worker = self._idle.pop(self._ready_index())
                 self._busy.add(worker)
             if self._ensure_ready(worker) and worker.process.is_alive():
                 return worker

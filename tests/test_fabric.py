@@ -173,6 +173,29 @@ class TestCrashRecovery:
         finally:
             fabric.shutdown()
 
+    def test_request_after_a_crash_runs_on_a_ready_worker(self):
+        """The crashed worker's replacement is still starting up, so the
+        next request is checked out on a worker from before the crash."""
+        fabric = Supervisor(
+            3,
+            warm=True,
+            breakers=BreakerBoard(threshold=100),
+            retry=RetryPolicy(max_attempts=1),
+            name="t-ready",
+        )
+        try:
+            # Three checkouts at once consume every worker's handshake.
+            jobs = [fabric.submit(request()) for _ in range(3)]
+            verdicts = [fabric.harvest(job).verdict for job in jobs]
+            assert verdicts == ["unrealizable"] * 3
+            before = set(fabric.worker_pids())
+            assert fabric.solve(request("crash@*")).verdict == "error"
+            job = fabric.submit(request())
+            assert job.worker.pid in before
+            assert fabric.harvest(job).verdict == "unrealizable"
+        finally:
+            fabric.shutdown()
+
     def test_corrupt_reply_is_a_transient_failure(self):
         board = BreakerBoard(threshold=100)
         fabric = Supervisor(

@@ -2,7 +2,8 @@
 
 Five layers of battery, mirroring the store's consumers:
 
-* **unit** — put/get/evict/quarantine semantics of one ``ResultStore``;
+* **unit** — put/get/evict/quarantine semantics of one ``ResultStore``,
+  and its one connection per process, shared by every thread;
 * **fingerprint** — the semantic-tag allowlist: a fault-tagged request and
   its clean twin hash identically, while the store still refuses
   fault-injected payloads;
@@ -29,6 +30,7 @@ import multiprocessing
 import os
 import pickle
 import sqlite3
+import sys
 import threading
 
 import pytest
@@ -175,6 +177,25 @@ class TestResultStoreUnit:
         quarantined = list(tmp_path.glob("s.sqlite.corrupt-*"))
         assert quarantined, "damaged file should be renamed aside"
 
+    def test_locked_file_is_a_miss_not_quarantined(self, tmp_path):
+        """A file locked past the busy timeout is healthy: the operations
+        degrade to a miss and a no-op, and nothing is moved aside."""
+        path = tmp_path / "s.sqlite"
+        store = ResultStore(path)
+        store.busy_timeout_seconds = 0.2
+        store.put("fp", "naySL", payload())
+        blocker = sqlite3.connect(path, isolation_level=None)
+        try:
+            blocker.execute("BEGIN IMMEDIATE")
+            assert store.get("fp", "naySL") is None
+            assert store.put("fp2", "naySL", payload()) == (False, 0)
+            blocker.execute("ROLLBACK")
+        finally:
+            blocker.close()
+        assert store.counters["errors"] == 2
+        assert not list(tmp_path.glob("s.sqlite.corrupt-*"))
+        assert store.get("fp", "naySL") == payload()
+
     def test_torn_row_deleted_and_reported_as_miss(self, tmp_path):
         path = tmp_path / "s.sqlite"
         store = ResultStore(path)
@@ -213,6 +234,82 @@ class TestResultStoreUnit:
             "evictions_total",
         ):
             assert key in snapshot
+
+
+class TestOneConnection:
+    """Every thread of a process shares the store's one connection."""
+
+    def test_gets_on_fresh_threads_open_one_connection(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.sqlite"
+        writer = ResultStore(path)
+        writer.put("fp", "naySL", payload())
+        writer.close()
+        store = ResultStore(path)
+        opened = []
+        connect = sqlite3.connect
+
+        def counting_connect(*args, **kwargs):
+            opened.append(args[0])
+            return connect(*args, **kwargs)
+
+        monkeypatch.setattr(sqlite3, "connect", counting_connect)
+        replies = []
+        for _ in range(50):
+            thread = threading.Thread(
+                target=lambda: replies.append(store.get("fp", "naySL"))
+            )
+            thread.start()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert replies == [payload()] * 50
+        assert opened == [str(path)]
+        # No thread's exit closed it, so the WAL was never checkpointed away;
+        # closing the last connection does that, once.
+        assert os.path.exists(f"{path}-wal")
+        store.close()
+        assert not os.path.exists(f"{path}-wal")
+
+    def test_threads_interleave_whole_operations(self, tmp_path):
+        """8 threads x 100 mixed calls: no transaction interleaves with
+        another's (a nested ``BEGIN IMMEDIATE`` would count an error)."""
+        store = ResultStore(tmp_path / "s.sqlite")
+        done = []
+
+        def work(index):
+            gets = puts = 0
+            for step in range(100):
+                fingerprint = f"fp{(index * 7 + step) % 10}"
+                kind = (index + step) % 3
+                if kind == 0:
+                    reply = payload(problem=fingerprint)
+                    stored, _ = store.put(fingerprint, "naySL", reply)
+                    puts += stored
+                elif kind == 1:
+                    store.get(fingerprint, "naySL")
+                    gets += 1
+                else:
+                    store.snapshot()
+            done.append((gets, puts))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(done) == 8
+        gets = sum(g for g, _ in done)
+        puts = sum(p for _, p in done)
+        counters = store.counters
+        assert counters["errors"] == 0
+        assert counters["hits"] + counters["misses"] == gets
+        assert counters["stores"] == puts
+        assert store.stores_recorded() == puts
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +651,42 @@ class TestCrossProcess:
         warm = solver.solve_batch(self._requests(["plane1", "guard1"]))
         for before, after in zip(cold, warm):
             assert canonical(before.to_json()) == canonical(after.to_json())
+
+    def test_child_forked_while_the_store_lock_is_held(self, tmp_path):
+        """A forked child gets a free lock and its own connection, even when
+        a parent thread held the store lock at the fork."""
+        try:
+            context = multiprocessing.get_context("fork")
+        except ValueError:
+            pytest.skip("fork start method unavailable")
+        store = ResultStore(tmp_path / "s.sqlite")
+        store.put("fp-parent", "naySL", payload())
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with store._lock:
+                held.set()
+                release.wait(60)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        queue = context.Queue()
+        child = context.Process(
+            target=_mp_child_reads, args=(store, "fp-parent", queue)
+        )
+        try:
+            assert held.wait(10)
+            child.start()
+            assert queue.get(timeout=30) == payload()
+            child.join(timeout=30)
+            assert child.exitcode == 0
+        finally:
+            release.set()
+            holder.join(timeout=10)
+            if child.is_alive():
+                child.kill()
+                child.join(timeout=10)
+        assert not holder.is_alive()
 
     @pytest.mark.parametrize("method", ["fork", "spawn"])
     def test_store_object_crosses_process_boundaries(self, tmp_path, method):
