@@ -421,9 +421,13 @@ class Solver:
         if isinstance(problem, Path):
             return SolveRequest(path=str(problem), **base)
         text = str(problem)
+        # The suffix first: a file name may contain "(", SyGuS text never
+        # ends in ".sl".
+        if text.endswith(".sl"):
+            return SolveRequest(path=text, **base)
         if "(" in text:
             return SolveRequest(sl=text, **base)
-        if text.endswith(".sl") or os.path.sep in text or os.path.exists(text):
+        if os.path.sep in text or os.path.exists(text):
             return SolveRequest(path=text, **base)
         return SolveRequest(benchmark=text, **base)
 

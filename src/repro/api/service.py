@@ -22,7 +22,8 @@ Robustness posture:
   queueing without bound inside the threading server.
 * **Request-size bound** — ``Content-Length`` is required and capped at
   ``max_request_bytes`` (HTTP 413), so a client cannot make the handler
-  read an unbounded body.
+  read an unbounded body, and a client whose socket stalls for
+  ``REQUEST_TIMEOUT_SECONDS`` is disconnected.
 * **In-flight dedup** — semantically identical prepared payloads (by the
   store key :func:`repro.engine.store.lookup` computed, else by
   :func:`repro.engine.results.request_fingerprint`; both ignore
@@ -83,6 +84,12 @@ DEFAULT_MAX_INFLIGHT = 8
 #: Request-size default: the largest ``POST /solve`` body accepted (bytes).
 #: Real requests are a few KB of SyGuS text; 1 MiB is generous.
 DEFAULT_MAX_REQUEST_BYTES = 1 << 20
+
+#: Seconds one read or write on a client's socket may block.  A client
+#: that stalls mid-request is dropped instead of pinning its handler
+#: thread, which admission control cannot see: it counts requests only
+#: once their body has arrived.
+REQUEST_TIMEOUT_SECONDS = 30.0
 
 #: The ``Retry-After`` seconds a saturated server suggests.
 RETRY_AFTER_SECONDS = 1
@@ -182,6 +189,9 @@ class ApiRequestHandler(BaseHTTPRequestHandler):
     """Routes: POST /solve, GET /engines, GET /healthz."""
 
     server: ApiServer
+    # The socket timeout; ``handle_one_request`` turns a timed-out read
+    # or write into a closed connection.
+    timeout = REQUEST_TIMEOUT_SECONDS
 
     # Keep request logging off the server's stderr; the CLI prints one
     # banner line and the service is otherwise silent.

@@ -30,7 +30,7 @@ Subcommands:
   per size) and ``stats`` (grammar + automaton + minimized sizes);
 * ``experiments <name>``    — shorthand for ``python -m repro.experiments``;
 * ``bench --suite S``       — run a perf harness (``domains``,
-  ``grammar``, ``chaos``, ``serve`` or ``all``), write its versioned
+  ``grammar``, ``serve`` or ``all``), write its versioned
   ``BENCH_*.json`` artifact (a ``--quick`` run writes only to ``--out``)
   and check the suite's gates (:data:`repro.perf.SUITES`); exits 1 when a
   gate fails.
@@ -325,16 +325,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     bench.add_argument(
         "--suite",
-        choices=["domains", "grammar", "chaos", "serve", "all"],
+        choices=["domains", "grammar", "serve", "all"],
         required=True,
         help="domains: the columnar evaluation core over an example-count "
         "sweep (BENCH_domains.json); grammar: tree-automaton pruning + "
-        "memoized-enumerator deltas (BENCH_grammar.json); chaos: "
-        "fault-injected resilience sweep over the solve fabric "
-        "(BENCH_chaos.json); serve: concurrent-client load over the real "
-        "HTTP server with the persistent result store — cold vs warm "
-        "latency/throughput (BENCH_serve.json); all: every timing suite "
-        "(chaos and serve excluded; run them explicitly)",
+        "memoized-enumerator deltas (BENCH_grammar.json); serve: "
+        "concurrent-client load over the real HTTP server with the "
+        "persistent result store — cold vs warm latency/throughput "
+        "(BENCH_serve.json); all: every timing suite (serve excluded; run "
+        "it explicitly)",
     )
     bench.add_argument(
         "--repeat", type=_positive, default=3, help="timed repetitions per measurement"
@@ -351,16 +350,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
 
     arguments = parser.parse_args(argv)
+    if not getattr(arguments, "store", None):
+        return _run_command(arguments, engines, tools)
 
     # --store installs the persistent result store for this process (rather
     # than plumbing it through every call): the doors that look requests up
     # and record them, Solver and the serve handler, run here, so worker
-    # processes never need the path.
-    if getattr(arguments, "store", None):
-        from repro.engine.store import ResultStore, install_result_store
+    # processes never need the path.  It is uninstalled and closed on
+    # return, so an embedding process keeps the store it had.
+    from repro.engine.store import ResultStore, install_result_store
 
-        install_result_store(ResultStore(arguments.store))
+    store = ResultStore(arguments.store)
+    previous = install_result_store(store)
+    try:
+        return _run_command(arguments, engines, tools)
+    finally:
+        install_result_store(previous)
+        store.close()
 
+
+def _run_command(
+    arguments: argparse.Namespace, engines: List[str], tools: List[str]
+) -> int:
     if arguments.command == "solve":
         solver = _solver_for(arguments)
         response = solver.solve(

@@ -487,7 +487,7 @@ class Supervisor:
     ``solve`` is the one door every consumer uses (checkout → job →
     harvest, with the retry policy, breaker bookkeeping and cancellation
     applied); ``submit`` / ``harvest`` / ``cancel`` are its steps, which the
-    tests and the chaos sweep also drive one by one.  All of it is
+    tests also drive one by one.  All of it is
     thread-safe — ``repro-nay serve`` and portfolio races call in from many
     threads at once.
     """
@@ -883,7 +883,7 @@ class Supervisor:
         return sorted(worker.pid for worker in workers if worker.pid is not None)
 
     def busy_pids(self) -> List[int]:
-        """Pids with a *submitted, unfinished* job (chaos harnesses kill -9
+        """Pids with a *submitted, unfinished* job (the fault tests kill -9
         these).  Workers mid-checkout — busy, but with no job accepted yet —
         are excluded: killing one is silently absorbed by ``_checkout`` and
         would never register as a crash."""

@@ -1,6 +1,6 @@
 """The repeatable perf harnesses behind ``repro-nay bench``.
 
-Four suites live here, one entry each in :data:`SUITES`, selected with
+Three suites live here, one entry each in :data:`SUITES`, selected with
 ``--suite``:
 
 * ``domains`` — the columnar evaluation core over an example-count sweep
@@ -12,9 +12,6 @@ Four suites live here, one entry each in :data:`SUITES`, selected with
   before timing;
 * ``grammar`` — observational-equivalence pruning on fig2/fig3-style
   solves, and the memoized enumerator against the frozen reference;
-* ``chaos`` — the resilience sweep over the supervised solve fabric
-  (:mod:`repro.engine.supervisor`): fault-injected requests that must all
-  come back as well-formed responses.  It measures survival, not speed;
 * ``serve`` — concurrent clients over the real HTTP server and a fresh
   persistent result store, cold vs warm.
 
@@ -189,8 +186,6 @@ def _render_cell(row: Dict[str, object], path: str, template: str) -> str:
         value = value.get(key) if isinstance(value, dict) else None
     if value is None:
         return "-"
-    if isinstance(value, list):
-        return ",".join(sorted({str(item) for item in value}))
     return template.format(value)
 
 
@@ -615,353 +610,6 @@ def _summarise_grammar(rows: Sequence[Dict[str, object]]) -> Dict[str, object]:
 
 
 # ---------------------------------------------------------------------------
-# The chaos (solve-fabric resilience) suite
-# ---------------------------------------------------------------------------
-#
-# Unlike the other suites this one measures *survival*, not speed: every
-# scenario injects a different failure mode into the fabric's workers (via
-# request tags, so nothing global is armed) and checks that the request
-# still ends in a well-formed wire response, that crashed workers are
-# replaced, and that the circuit breakers trip and recover as specified.
-
-#: The injected failure modes; each has a scenario of the same name.
-CHAOS_FAULT_KINDS = ("crash", "hang", "slow", "corrupt", "oom", "error", "kill9")
-
-
-def _chaos_request(tags=None, timeout=10.0, engine="naySL"):
-    from repro.api.wire import SolveRequest
-
-    return SolveRequest(
-        benchmark="plane1",
-        engine=engine,
-        kind="check",
-        timeout_seconds=timeout,
-        tags=dict(tags or {}),
-    )
-
-
-def _chaos_well_formed(response) -> bool:
-    """Round-trip the response through the strict wire parser."""
-    from repro.api.wire import SolveResponse
-
-    try:
-        SolveResponse.from_json(response.to_json())
-    except Exception:  # noqa: BLE001 — malformed is exactly what we probe for
-        return False
-    return True
-
-
-def _chaos_scenario(
-    name: str,
-    requests: int,
-    outcomes: List[str],
-    expect: List[str],
-    ok: bool,
-    **counters: object,
-) -> Dict[str, object]:
-    """A row for a scenario driven outside ``run_scenario``; counters default to 0."""
-    return {
-        "name": name,
-        "requests": requests,
-        "outcomes": outcomes,
-        "expect": expect,
-        "ok": bool(ok),
-        "retries": 0,
-        "workers_replaced": 0,
-        "faults_injected": 0,
-        "seconds": 0.0,
-        **counters,
-    }
-
-
-def _run_chaos(repetitions: int, quick: bool) -> Report:
-    """Drive the fault slate through a supervised fabric.
-
-    ``repetitions`` scales the clean/self-heal request counts (the faulted
-    scenarios are fixed — each exists to prove one failure mode).  ``quick``
-    changes nothing; the slate is already CI-sized.
-    """
-    import os
-    import signal
-    import threading as _threading
-
-    from repro.api.facade import timeout_response
-    from repro.engine.supervisor import (
-        BreakerBoard,
-        FabricTimeoutError,
-        RetryPolicy,
-        Supervisor,
-    )
-    from repro.testing.faults import reset_fault_state
-
-    del quick
-    reset_fault_state()
-    clean_count = max(2, 2 * max(1, repetitions))
-    board = BreakerBoard(threshold=2, cooldown_seconds=0.5)
-    fabric = Supervisor(
-        3,
-        warm=False,
-        breakers=board,
-        retry=RetryPolicy(max_attempts=3, base_delay_seconds=0.02),
-        name="chaos",
-    )
-    scenarios: List[Dict[str, object]] = []
-    total = 0
-    well_formed = 0
-    started = time.monotonic()
-
-    def replaced(supervisor: Supervisor) -> int:
-        return supervisor.stats.snapshot().get("workers_replaced", 0)
-
-    def run_scenario(name, requests, expect):
-        nonlocal total, well_formed
-        outcomes: List[str] = []
-        retries = 0
-        replaced = 0
-        injected = 0
-        scenario_start = time.monotonic()
-        for request in requests:
-            response = fabric.solve(request)
-            outcomes.append(response.verdict)
-            retries += response.solver_stats.get("retries", 0)
-            replaced += response.solver_stats.get("workers_replaced", 0)
-            injected += response.solver_stats.get("faults_injected", 0)
-            total += 1
-            well_formed += 1 if _chaos_well_formed(response) else 0
-        row = {
-            "name": name,
-            "requests": len(requests),
-            "outcomes": outcomes,
-            "expect": expect,
-            "ok": all(outcome in expect for outcome in outcomes),
-            "retries": retries,
-            "workers_replaced": replaced,
-            "faults_injected": injected,
-            "seconds": round(time.monotonic() - scenario_start, 4),
-        }
-        scenarios.append(row)
-        return row
-
-    try:
-        pids_before = fabric.worker_pids()
-
-        # 1. Baseline: clean requests on the fresh pool.
-        run_scenario(
-            "clean",
-            [_chaos_request() for _ in range(clean_count)],
-            expect=("unrealizable",),
-        )
-
-        # 2. crash — the worker dies (os._exit) on every attempt; bounded
-        # retries run out and the request degrades to a transient error.
-        run_scenario(
-            "crash",
-            [_chaos_request({"faults": "crash@*"}) for _ in range(2)],
-            expect=("error",),
-        )
-        board.for_engine("naySL").record_success()  # crashes tripped it; re-arm
-
-        # 3. slow — the leg stalls briefly, then answers normally; the
-        # injection is visible in solver_stats but harmless.
-        run_scenario(
-            "slow",
-            [_chaos_request({"faults": "slow@*:0.1"}) for _ in range(3)],
-            expect=("unrealizable",),
-        )
-
-        # 4. corrupt — the reply payload fails wire validation at the pipe;
-        # every retry lands on a (fresh) worker that corrupts again, so the
-        # request errors out after max_attempts with retries recorded.
-        corrupt = run_scenario(
-            "corrupt",
-            [_chaos_request({"faults": "corrupt@*"}) for _ in range(2)],
-            expect=("error",),
-        )
-        corrupt["ok"] = corrupt["ok"] and corrupt["retries"] > 0
-        board.for_engine("naySL").record_success()
-
-        # 5. oom — an allocation burst ending in MemoryError: a
-        # deterministic in-worker failure, reported as an error verdict
-        # without any retry.
-        oom = run_scenario(
-            "oom",
-            [_chaos_request({"faults": "oom@*:16"}) for _ in range(2)],
-            expect=("error",),
-        )
-        oom["ok"] = oom["ok"] and oom["retries"] == 0
-
-        # 6. error — the deterministic injected failure; the retry policy
-        # must NOT retry it.
-        deterministic = run_scenario(
-            "error",
-            [_chaos_request({"faults": "error@*"}) for _ in range(2)],
-            expect=("error",),
-        )
-        deterministic["ok"] = deterministic["ok"] and deterministic["retries"] == 0
-
-        # 7. kill -9 mid-solve — the one genuinely *transient* fault: the
-        # parent SIGKILLs the busy worker while a slowed request is in
-        # flight; the retry lands on a replacement and succeeds.
-        holder: Dict[str, object] = {}
-
-        def solve_slow():
-            holder["response"] = fabric.solve(
-                _chaos_request({"faults": "slow@*:1.0"}, timeout=15.0)
-            )
-
-        thread = _threading.Thread(target=solve_slow)
-        thread.start()
-        kill_deadline = time.monotonic() + 5.0
-        killed_pid = None
-        while time.monotonic() < kill_deadline and killed_pid is None:
-            busy = fabric.busy_pids()
-            if busy:
-                killed_pid = busy[0]
-                os.kill(killed_pid, signal.SIGKILL)
-            else:
-                time.sleep(0.02)
-        thread.join(timeout=60.0)
-        response = holder.get("response")
-        total += 1
-        stats = response.solver_stats if response is not None else {}
-        ok = (
-            response is not None
-            and _chaos_well_formed(response)
-            and response.verdict == "unrealizable"
-            and stats.get("retries", 0) >= 1
-        )
-        well_formed += 1 if response is not None and _chaos_well_formed(response) else 0
-        scenarios.append(
-            _chaos_scenario(
-                "kill9",
-                1,
-                [response.verdict if response is not None else "lost"],
-                ["unrealizable"],
-                ok,
-                killed_pid=killed_pid,
-                retries=stats.get("retries", 0),
-                workers_replaced=stats.get("workers_replaced", 0),
-            )
-        )
-        board.for_engine("naySL").record_success()
-
-        # 8. hang — the leg stops making progress entirely; the harvest
-        # deadline fires, the stuck worker is killed and replaced, and the
-        # caller records the same timeout response Supervisor.solve would
-        # produce at the hard guard.
-        hang_request = _chaos_request({"faults": "hang@*"}, timeout=5.0)
-        replaced_before = replaced(fabric)
-        job = fabric.submit(hang_request, soft_timeout=5.0)
-        try:
-            response = fabric.harvest(job, timeout=1.5)
-            hang_outcome = response.verdict  # should not happen
-        except FabricTimeoutError:
-            fabric.cancel(job)
-            response = timeout_response(hang_request)
-            hang_outcome = response.verdict
-        total += 1
-        well_formed += 1 if _chaos_well_formed(response) else 0
-        scenarios.append(
-            _chaos_scenario(
-                "hang",
-                1,
-                [hang_outcome],
-                ["timeout"],
-                hang_outcome == "timeout",
-                workers_replaced=replaced(fabric) - replaced_before,
-            )
-        )
-        board.for_engine("naySL").record_success()
-
-        # 9. breaker — two consecutive crashes trip the breaker (threshold
-        # 2); the next request is refused without running; after the
-        # cooldown a clean half-open probe re-closes it.
-        breaker_board = BreakerBoard(threshold=2, cooldown_seconds=0.4)
-        breaker_fabric = Supervisor(
-            1,
-            warm=False,
-            breakers=breaker_board,
-            retry=RetryPolicy(max_attempts=1, base_delay_seconds=0.02),
-            name="chaos-breaker",
-        )
-        try:
-            replaced_before = replaced(breaker_fabric)
-            for _ in range(2):
-                breaker_fabric.solve(_chaos_request({"faults": "crash@*"}))
-                total += 1
-                well_formed += 1
-            tripped = breaker_board.for_engine("naySL").snapshot()
-            refused = breaker_fabric.solve(_chaos_request())
-            total += 1
-            well_formed += 1 if _chaos_well_formed(refused) else 0
-            time.sleep(0.5)  # cooldown: the next request is the half-open probe
-            probe = breaker_fabric.solve(_chaos_request())
-            total += 1
-            well_formed += 1 if _chaos_well_formed(probe) else 0
-            recovered = breaker_board.for_engine("naySL").snapshot()
-            scenarios.append(
-                _chaos_scenario(
-                    "breaker",
-                    4,
-                    [refused.verdict, probe.verdict],
-                    ["error", "unrealizable"],
-                    tripped["state"] == "open"
-                    and tripped["trips"] >= 1
-                    and refused.verdict == "error"
-                    and "circuit breaker open" in (refused.error or "")
-                    and probe.verdict == "unrealizable"
-                    and recovered["state"] == "closed",
-                    tripped=tripped,
-                    recovered=recovered,
-                    workers_replaced=replaced(breaker_fabric) - replaced_before,
-                )
-            )
-        finally:
-            breaker_fabric.shutdown()
-
-        # 10. self-heal — after everything above, clean requests must still
-        # succeed on the (heavily replaced) pool.
-        heal = run_scenario(
-            "self-heal",
-            [_chaos_request() for _ in range(clean_count)],
-            expect=("unrealizable",),
-        )
-        pids_after = fabric.worker_pids()
-        heal["pool_replaced_workers"] = sorted(
-            set(pids_after) - set(pids_before)
-        )
-        heal["ok"] = heal["ok"] and bool(set(pids_after) - set(pids_before))
-
-        fabric_stats = fabric.stats.snapshot()
-    finally:
-        fabric.shutdown()
-
-    names = {row["name"] for row in scenarios}
-    return {
-        "fault_kinds": list(CHAOS_FAULT_KINDS),
-        "scenarios": scenarios,
-        "fabric_stats": fabric_stats,
-        "breakers": board.snapshot(),
-        "summary": {
-            "requests": total,
-            "well_formed": well_formed,
-            "all_well_formed": well_formed == total,
-            "all_scenarios_ok": all(row["ok"] for row in scenarios),
-            "fault_kinds": sum(1 for kind in CHAOS_FAULT_KINDS if kind in names),
-            "retries": sum(row.get("retries", 0) for row in scenarios),
-            "workers_replaced": fabric_stats.get("workers_replaced", 0),
-            "faults_injected": sum(row.get("faults_injected", 0) for row in scenarios),
-            "breaker_trips": next(
-                (row.get("tripped", {}).get("trips", 0) for row in scenarios
-                 if row["name"] == "breaker"),
-                0,
-            ),
-            "total_seconds": round(time.monotonic() - started, 4),
-        },
-    }
-
-
-# ---------------------------------------------------------------------------
 # The serve load harness (BENCH_serve.json)
 # ---------------------------------------------------------------------------
 
@@ -1263,8 +911,8 @@ class Suite:
     gates: Tuple[Gate, ...] = ()
 
 
-#: The suites ``repro-nay bench --suite all`` runs (chaos and serve drive
-#: worker processes and a server; run them explicitly).
+#: The suites ``repro-nay bench --suite all`` runs (serve drives worker
+#: processes and a server; run it explicitly).
 TIMING_SUITES = ("domains", "grammar")
 
 #: Every suite, with its gates.  Quick bars are looser than full ones where
@@ -1311,32 +959,6 @@ SUITES: Dict[str, Suite] = {
             Gate("gate_oe_evaluation_reduction", ">=", full=2.0, quick=2.0),
             Gate("gate_enumerator_speedup", ">=", full=1.0),
             Gate("gate_prune_wall_ratio", "<=", quick=1.25),
-        ),
-    ),
-    "chaos": Suite(
-        _run_chaos,
-        "BENCH_chaos.json",
-        1,
-        "scenarios",
-        (
-            ("scenario", "name", "{}"),
-            ("reqs", "requests", "{}"),
-            ("ok", "ok", "{}"),
-            ("retries", "retries", "{}"),
-            ("replaced", "workers_replaced", "{}"),
-            ("outcomes", "outcomes", "{}"),
-        ),
-        tuple(
-            Gate(key, op, full=bar, quick=bar)
-            for key, op, bar in (
-                ("requests", ">=", 20),
-                ("all_well_formed", "is", True),
-                ("all_scenarios_ok", "is", True),
-                ("fault_kinds", ">=", 4),
-                ("retries", ">=", 1),
-                ("workers_replaced", ">=", 1),
-                ("breaker_trips", ">=", 1),
-            )
         ),
     ),
     "serve": Suite(

@@ -1,8 +1,8 @@
 """Test-only instrumentation shipped with the library.
 
-:mod:`repro.testing.faults` is the fault-injection layer the chaos tests and
-``repro-nay bench --suite chaos`` drive to prove every engine failure mode
-ends in a well-formed :class:`~repro.api.wire.SolveResponse`.  Nothing in
+:mod:`repro.testing.faults` is the fault-injection layer the fabric and
+service tests drive to prove every engine failure mode ends in a
+well-formed :class:`~repro.api.wire.SolveResponse`.  Nothing in
 here runs unless explicitly armed (``REPRO_NAY_FAULTS`` or a request's
 ``tags["faults"]``), so production requests pay zero overhead.
 """

@@ -45,7 +45,7 @@ the engine boundary (after the engine is built, before it runs) whenever
 either channel is armed; the fabric worker loop applies
 :func:`corrupt_response` where the reply crosses the pipe.  Injected events
 are reported on the response (``solver_stats["faults_injected"]`` and
-``details["fault_events"]``), so chaos artifacts can count what they dealt.
+``details["fault_events"]``), so a test can count what it dealt.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 import urllib.error
@@ -29,6 +30,7 @@ from repro.api.service import make_server
 from repro.cli import main as cli_main
 from repro.engine.base import EngineConfigMixin
 from repro.engine.registry import _REGISTRY, register_engine
+from repro.engine.store import get_result_store
 from repro.semantics.examples import ExampleSet
 from repro.suites import get_benchmark
 from repro.suites.scaling import (
@@ -185,6 +187,12 @@ class TestFacade:
         by_text = solve(text, engine="naySL")
         assert by_path.verdict == "unrealizable"
         assert by_text.verdict == "unrealizable"
+        # A ".sl" name containing "(" is a path, not SyGuS text.
+        copy = tmp_path / "plane1 (copy).sl"
+        copy.write_text(text)
+        by_name = solve(str(copy), engine="naySL")
+        assert by_name.error is None, by_name.error
+        assert by_name.verdict == "unrealizable"
 
     def test_solve_problem_object_serializes_through_printer(self):
         problem = get_benchmark("guard1", "LimitedPlus").problem
@@ -375,6 +383,29 @@ class TestCliJson:
         assert cli_main(["batch", EXAMPLES_DIR, "--json", "--workers", "2"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert [entry["verdict"] for entry in payload] == ["unrealizable"] * len(payload)
+
+    def test_batch_store_replays_every_definitive_verdict(self, tmp_path, capsys):
+        """A warm ``batch --store`` run answers every definitive cold
+        verdict from the store, and ``main`` uninstalls and closes the
+        store it opened."""
+        store = tmp_path / "batch.sqlite"
+        argv = ["batch", EXAMPLES_DIR, "--json", "--store", str(store)]
+        ambient = get_result_store()
+        assert cli_main(argv) == 0
+        cold = json.loads(capsys.readouterr().out)
+        assert get_result_store() is ambient
+        assert not os.path.exists(f"{store}-wal")
+        assert cli_main(argv) == 0
+        warm = json.loads(capsys.readouterr().out)
+        assert len(warm) == len(cold) >= 3
+        replayed = 0
+        for before, after in zip(cold, warm):
+            if before["verdict"] not in ("unrealizable", "realizable"):
+                continue
+            assert after["solver_stats"].get("store_hits") == 1, after
+            assert after["verdict"] == before["verdict"]
+            replayed += 1
+        assert replayed
 
     def test_solve_json(self, tmp_path, capsys):
         benchmark = get_benchmark("plane1", "LimitedPlus")

@@ -16,7 +16,6 @@ import time
 
 import pytest
 
-from repro import perf
 from repro.api.wire import SolveRequest, SolveResponse
 from repro.engine.supervisor import (
     BreakerBoard,
@@ -216,10 +215,14 @@ class TestCrashRecovery:
     def test_deterministic_error_fault_is_never_retried(self):
         fabric = Supervisor(1, warm=False, name="t-det")
         try:
-            response = well_formed(fabric.solve(request("error@*")))
-            assert response.verdict == "error"
-            assert "injected error" in (response.error or "")
-            assert "retries" not in response.solver_stats
+            for faults, error in (
+                ("error@*", "injected error"),
+                ("oom@*:16", "MemoryError: injected oom for engine 'naySL' (16 MiB)"),
+            ):
+                response = well_formed(fabric.solve(request(faults)))
+                assert response.verdict == "error"
+                assert error in (response.error or "")
+                assert "retries" not in response.solver_stats
         finally:
             fabric.shutdown()
 
@@ -641,25 +644,3 @@ class TestAmbientFabric:
         assert get_fabric() is None
         assert_dead(pids)
 
-
-class TestChaosSweep:
-    def test_chaos_suite_end_to_end(self):
-        """Acceptance: >= 20 requests across >= 4 fault kinds (plus a real
-        kill -9 mid-solve), every response well-formed, the pool self-heals
-        and tripped breakers recover through half-open probes."""
-        report = perf.run_suite("chaos", repetitions=1, quick=True)
-        results = perf.check_gates(report)
-        assert results and all(passed for passed, _ in results), (
-            results,
-            report["scenarios"],
-        )
-        rows = {row["name"]: row for row in report["scenarios"]}
-        assert {"crash", "hang", "corrupt", "kill9", "breaker", "self-heal"} <= set(rows)
-        # The hang and breaker rows count the replacements their fabric made.
-        for name in ("hang", "breaker"):
-            assert rows[name]["workers_replaced"] >= 1, rows[name]
-        # The artifact is JSON-serialisable as produced.
-        perf.render(report)
-        import json
-
-        json.dumps(report, sort_keys=True, default=str)

@@ -1,8 +1,9 @@
 """Robustness posture of the HTTP service (:mod:`repro.api.service`).
 
-Request-size bounds (413), admission control (503 + ``Retry-After``),
-in-flight dedup, the breaker/fabric surface on ``/healthz``, the serve
-smoke that kills a fabric worker mid-request, the persistent result
+Request-size bounds (413) and the socket timeout, admission control (503 +
+``Retry-After``), in-flight dedup, the breaker/fabric surface on
+``/healthz``, the serve smoke that kills a fabric worker mid-request,
+``repro-nay serve --store`` stopped by SIGTERM, the persistent result
 store tier (instant hits, monotone counters, saturation immunity, one row
 per served answer), and ``path`` requests the store cannot key.
 """
@@ -14,6 +15,7 @@ import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -25,10 +27,15 @@ from pathlib import Path
 import pytest
 
 from repro.api.facade import Solver
-from repro.api.service import make_server
+from repro.api.service import REQUEST_TIMEOUT_SECONDS, ApiRequestHandler, make_server
 from repro.api.wire import SCHEMA_VERSION, SolveResponse
 from repro.engine.results import request_fingerprint
-from repro.engine.store import STORE_ENV, ResultStore, install_result_store
+from repro.engine.store import (
+    STORE_ENV,
+    ResultStore,
+    install_result_store,
+    pristine_response,
+)
 from repro.engine.supervisor import (
     BreakerBoard,
     RetryPolicy,
@@ -143,6 +150,23 @@ class TestRequestBounds:
         )
         assert status == 400
         assert "not JSON" in payload["error"]
+
+    def test_stalled_body_is_dropped_after_the_socket_timeout(self, monkeypatch):
+        # A client that promises 100 bytes, sends 5 and stalls must not pin
+        # its handler thread until it hangs up.
+        assert ApiRequestHandler.timeout == REQUEST_TIMEOUT_SECONDS
+        monkeypatch.setattr(ApiRequestHandler, "timeout", 0.5)
+        server = make_server(port=0, solver=Solver(timeout_seconds=60.0))
+        thread = _run(server)
+        try:
+            with socket.create_connection(server.server_address, timeout=10) as client:
+                client.sendall(b"POST /solve HTTP/1.0\r\nContent-Length: 100\r\n\r\n")
+                client.sendall(b'{"ben')
+                assert client.recv(1024) == b""  # hung up, not blocked
+            status, _, _ = _post_raw(server)
+            assert status == 413
+        finally:
+            _stop(server, thread)
 
 
 class TestAdmissionControl:
@@ -509,9 +533,10 @@ class TestServeWithFabric:
             _stop(server, thread)
             shutdown_fabric()
 
-    def test_sigterm_stops_the_fabric_workers(self):
-        """``repro-nay serve`` ended with SIGTERM takes its idle fabric
-        workers with it, as it does on SIGINT."""
+    def test_sigterm_stops_the_fabric_workers(self, tmp_path):
+        """``repro-nay serve --store`` ended with SIGTERM takes its idle
+        fabric workers with it, as it does on SIGINT, and closes its store:
+        the WAL is checkpointed into the file and the served row is there."""
 
         def alive(pid):
             try:
@@ -520,13 +545,14 @@ class TestServeWithFabric:
                 return False
             return True
 
+        store = tmp_path / "serve.sqlite"
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
         )
         server = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-             "--workers", "1"],
+             "--workers", "1", "--store", str(store)],
             env=env,
             stdout=subprocess.PIPE,
             text=True,
@@ -535,17 +561,29 @@ class TestServeWithFabric:
         try:
             banner = server.stdout.readline()
             port = int(re.search(r"http://[^:]+:(\d+)", banner).group(1))
-            with urllib.request.urlopen(
-                f"http://127.0.0.1:{port}/healthz", timeout=30
-            ) as reply:
+            base = f"http://127.0.0.1:{port}"
+            with urllib.request.urlopen(base + "/healthz", timeout=30) as reply:
                 worker_pids = json.load(reply)["fabric"]["worker_pids"]
             assert worker_pids
+            body = json.dumps({"benchmark": "plane1", "engine": "naySL"}).encode()
+
+            def post():
+                with urllib.request.urlopen(base + "/solve", body, timeout=60) as reply:
+                    return json.load(reply)
+
+            solved, replayed = post(), post()
+            assert solved["schema_version"] == SCHEMA_VERSION
+            assert solved["verdict"] == "unrealizable" and solved["certificate"]
+            assert replayed["solver_stats"].get("store_hits") == 1, replayed
+            assert pristine_response(replayed) == pristine_response(solved)
             server.terminate()
             server.wait(timeout=30)
             deadline = time.monotonic() + 5.0
             while any(map(alive, worker_pids)) and time.monotonic() < deadline:
                 time.sleep(0.05)
             assert not any(map(alive, worker_pids)), worker_pids
+            assert not os.path.exists(f"{store}-wal")
+            assert ResultStore(store).snapshot()["entries"] == 1
         finally:
             server.kill()
             server.wait(timeout=30)
