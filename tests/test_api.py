@@ -30,7 +30,12 @@ from repro.api.service import make_server
 from repro.cli import main as cli_main
 from repro.engine.base import EngineConfigMixin
 from repro.engine.registry import _REGISTRY, register_engine
-from repro.engine.store import get_result_store
+from repro.engine.store import (
+    STORE_ENV,
+    ResultStore,
+    get_result_store,
+    install_result_store,
+)
 from repro.semantics.examples import ExampleSet
 from repro.suites import get_benchmark
 from repro.suites.scaling import (
@@ -193,6 +198,23 @@ class TestFacade:
         by_name = solve(str(copy), engine="naySL")
         assert by_name.error is None, by_name.error
         assert by_name.verdict == "unrealizable"
+
+    @pytest.mark.parametrize(
+        "name",
+        ["plane1 (copy).sl", os.path.join("copy (1)", "plane1.sl")],
+        ids=["file", "directory"],
+    )
+    def test_relative_sl_name_with_a_parenthesis_is_a_path(
+        self, name, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / name
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(print_sygus(get_benchmark("plane1", "LimitedPlus").problem))
+        assert Solver().request(name).path == name
+        response = solve(name, engine="naySL")
+        assert response.error is None, response.error
+        assert response.verdict == "unrealizable"
 
     def test_solve_problem_object_serializes_through_printer(self):
         problem = get_benchmark("guard1", "LimitedPlus").problem
@@ -368,6 +390,16 @@ class TestPortfolio:
 EXAMPLES_DIR = str(Path(__file__).resolve().parent.parent / "examples")
 
 
+@pytest.fixture()
+def no_ambient_store(monkeypatch):
+    """No installed store and no ``REPRO_NAY_STORE``; the ambient one is
+    put back afterwards."""
+    monkeypatch.delenv(STORE_ENV, raising=False)
+    saved = install_result_store(None)
+    yield
+    install_result_store(saved)
+
+
 class TestCliJson:
     def test_batch_examples_dir_emits_wire_format(self, capsys):
         """Acceptance: repro-nay batch examples/ --json round-trips."""
@@ -406,6 +438,64 @@ class TestCliJson:
             assert after["verdict"] == before["verdict"]
             replayed += 1
         assert replayed
+
+    def test_store_option_is_uninstalled_after_the_command(
+        self, no_ambient_store, tmp_path, capsys
+    ):
+        # An in-process solve after ``main`` returns no longer reads or
+        # writes the file ``--store`` named.
+        store = tmp_path / "cli.sqlite"
+        assert cli_main(["check", "plane1", "--json", "--store", str(store)]) == 0
+        capsys.readouterr()
+        assert get_result_store() is None
+        assert not os.path.exists(f"{store}-wal")
+        stats = Solver().check("plane1").solver_stats
+        assert not [key for key in stats if key.startswith("store_")], stats
+        assert ResultStore(store).snapshot()["entries"] == 1
+
+    def test_store_option_is_uninstalled_when_the_command_raises(
+        self, no_ambient_store, tmp_path, monkeypatch
+    ):
+        store = tmp_path / "cli.sqlite"
+
+        def explode(*args, **kwargs):
+            raise RuntimeError("solver exploded")
+
+        monkeypatch.setattr(Solver, "solve", explode)
+        with pytest.raises(RuntimeError, match="solver exploded"):
+            cli_main(["check", "plane1", "--store", str(store)])
+        assert get_result_store() is None
+        assert not os.path.exists(f"{store}-wal")
+
+    def test_store_option_restores_an_installed_store(
+        self, no_ambient_store, tmp_path, capsys
+    ):
+        embedded = ResultStore(tmp_path / "embedded.sqlite")
+        install_result_store(embedded)
+        try:
+            store = tmp_path / "cli.sqlite"
+            assert cli_main(["check", "plane1", "--json", "--store", str(store)]) == 0
+            capsys.readouterr()
+            assert get_result_store() is embedded
+            # The embedder's store is still open and records the next solve.
+            stats = Solver().check("plane1").solver_stats
+            assert stats.get("store_stores") == 1, stats
+            assert embedded.snapshot()["entries"] == 1
+            assert ResultStore(store).snapshot()["entries"] == 1
+        finally:
+            embedded.close()
+
+    @pytest.mark.parametrize("op", ["compile", "count"])
+    def test_grammar_op_reads_an_sl_path_with_a_parenthesis(
+        self, op, tmp_path, capsys
+    ):
+        text = print_sygus(get_benchmark("plane1", "LimitedPlus").problem)
+        outputs = []
+        for name in ("plane1.sl", "plane1 (copy).sl"):
+            (tmp_path / name).write_text(text)
+            assert cli_main(["grammar", op, str(tmp_path / name), "--json"]) == 0
+            outputs.append(json.loads(capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
 
     def test_solve_json(self, tmp_path, capsys):
         benchmark = get_benchmark("plane1", "LimitedPlus")

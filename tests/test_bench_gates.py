@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -43,6 +44,29 @@ def test_committed_artifact_meets_its_full_bars(name):
     assert report["suite"] == name and report["quick"] is False
     results = perf.check_gates(report)
     assert results and all(passed for passed, _ in results), results
+
+
+@pytest.mark.parametrize("name", ["domains", "grammar", "serve"])
+def test_committed_artifact_renders_one_line_per_row(name):
+    # Every column of every suite points at a scalar: the renderer formats
+    # no lists or dicts, so such a cell would print as a Python repr.
+    suite = perf.SUITES[name]
+    report = json.loads((ROOT / suite.path).read_text())
+    lines = perf.render(report).splitlines()
+    rows = len(report[suite.rows])
+    assert len(lines) == 1 + rows + len(report["summary"])
+    for line in lines[: 1 + rows]:
+        assert len(re.split(r"\s{2,}", line.strip())) == len(suite.columns), line
+        assert not set("[]{}") & set(line), line
+
+
+def test_retired_chaos_suite_is_rejected(capsys):
+    # The fault slate it ran is tests/test_fabric.py's now.
+    assert "chaos" not in perf.SUITES
+    with pytest.raises(SystemExit) as excinfo:
+        cli_main(["bench", "--suite", "chaos", "--quick"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'chaos'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

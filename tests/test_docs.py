@@ -52,3 +52,13 @@ def test_mkdocs_nav_targets_exist():
     assert pages, "mkdocs.yml lists no pages?"
     for page in pages:
         assert (REPO_ROOT / "docs" / page).exists(), f"docs/{page} is missing"
+
+
+def test_ci_workflow_runs_commands_only():
+    """Every pass/fail check is a test, a bench gate or an e2ebench check in
+    the repo, so the CI workflow carries no inline script of its own."""
+    import re
+
+    workflow = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    assert "<<" not in workflow, "heredoc in ci.yml"
+    assert not re.search(r"\bpython3? -(?:c\b|\s)", workflow), "inline python in ci.yml"

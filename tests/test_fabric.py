@@ -226,6 +226,17 @@ class TestCrashRecovery:
         finally:
             fabric.shutdown()
 
+    def test_slow_fault_answers_normally_and_is_reported(self):
+        fabric = Supervisor(1, warm=False, name="t-slow")
+        try:
+            response = well_formed(fabric.solve(request("slow@*:0.1")))
+            assert response.verdict == "unrealizable"
+            assert response.solver_stats["faults_injected"] == 1
+            assert "retries" not in response.solver_stats
+            assert fabric.stats.snapshot().get("workers_replaced", 0) == 0
+        finally:
+            fabric.shutdown()
+
     def test_kill9_mid_solve_retries_to_success(self):
         """Acceptance: kill -9 of a busy worker mid-request self-heals."""
         fabric = Supervisor(
@@ -307,7 +318,9 @@ class TestTimeouts:
             with pytest.raises(FabricTimeoutError):
                 fabric.harvest(job, timeout=1.0)
             fabric.cancel(job)
-            assert fabric.stats.snapshot()["jobs_cancelled"] == 1
+            stats = fabric.stats.snapshot()
+            assert stats["jobs_cancelled"] == 1
+            assert stats["workers_replaced"] == 1
             # The replacement worker serves clean requests.
             assert fabric.solve(request()).verdict == "unrealizable"
         finally:
@@ -328,6 +341,7 @@ class TestBreakersOnTheFabric:
             for _ in range(2):
                 assert fabric.solve(request("crash@*")).verdict == "error"
             assert board.for_engine("naySL").snapshot()["state"] == "open"
+            assert fabric.stats.snapshot()["workers_replaced"] == 2
             refused = well_formed(fabric.solve(request()))
             assert refused.verdict == "error"
             assert "circuit breaker open" in (refused.error or "")

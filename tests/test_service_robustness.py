@@ -151,17 +151,28 @@ class TestRequestBounds:
         assert status == 400
         assert "not JSON" in payload["error"]
 
-    def test_stalled_body_is_dropped_after_the_socket_timeout(self, monkeypatch):
-        # A client that promises 100 bytes, sends 5 and stalls must not pin
-        # its handler thread until it hangs up.
+    @pytest.mark.parametrize(
+        "sent",
+        [
+            b"",
+            b"POST /solve HTTP/1.0\r\nContent-Len",
+            b'POST /solve HTTP/1.0\r\nContent-Length: 100\r\n\r\n{"ben',
+        ],
+        ids=["request-line", "headers", "body"],
+    )
+    def test_stalled_client_is_dropped_after_the_socket_timeout(
+        self, sent, monkeypatch
+    ):
+        # A client that stalls before its request line, inside its headers
+        # or 5 bytes into a promised 100-byte body must not pin its handler
+        # thread until it hangs up.
         assert ApiRequestHandler.timeout == REQUEST_TIMEOUT_SECONDS
         monkeypatch.setattr(ApiRequestHandler, "timeout", 0.5)
         server = make_server(port=0, solver=Solver(timeout_seconds=60.0))
         thread = _run(server)
         try:
             with socket.create_connection(server.server_address, timeout=10) as client:
-                client.sendall(b"POST /solve HTTP/1.0\r\nContent-Length: 100\r\n\r\n")
-                client.sendall(b'{"ben')
+                client.sendall(sent)
                 assert client.recv(1024) == b""  # hung up, not blocked
             status, _, _ = _post_raw(server)
             assert status == 413
