@@ -43,9 +43,7 @@ def minimal_ite_count(spec_variables, max_budget: int = 3) -> int:
         # term a little larger than the default enumeration budget, so the
         # synthesizer's term-size budget is raised explicitly.
         solver = NaySolver(
-            NayConfig(
-                mode="sl", seed=0, timeout_seconds=120, synthesizer_max_size=14
-            )
+            NayConfig(seed=0, timeout_seconds=120, synthesizer_max_size=14)
         )
         outcome = solver.solve(problem, initial_examples=SEED_EXAMPLES)
         print(

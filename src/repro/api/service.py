@@ -210,8 +210,13 @@ class ApiRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        try:
+            self.end_headers()
+            self.wfile.write(body)
+        except ConnectionError:
+            # The client hung up before its reply: drop the connection
+            # quietly, so socketserver does not print the stack.
+            self.close_connection = True
 
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
         if self.path == "/healthz":

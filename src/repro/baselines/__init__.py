@@ -1,20 +1,20 @@
-"""The three solver configurations compared in the evaluation (§8).
+"""The five engines compared in the evaluation (§8).
 
-* :class:`NaySL` — the exact mode (semi-linear sets + Newton's method);
-* :class:`NayHorn` — the approximate mode over the GFA equations (a
+Each is Alg. 2's CEGIS loop around its own unrealizability check
+(:mod:`repro.baselines.engines`):
+
+* :class:`NaySL` — the exact check (semi-linear sets + Newton's method);
+* :class:`NayHorn` — the approximate check over the GFA equations (a
   constrained-Horn-clause engine in the paper, an abstract-interpretation
   engine here; see DESIGN.md);
 * :class:`Nope` — the prior-work baseline (Hu et al. CAV 2019), which reduces
   unrealizability to program reachability and then to Horn clauses; our
-  reimplementation builds that encoding for inspection and checks as
-  :class:`NayHorn` does.
-
-Two further *domain engines* instantiate the §4.3 framework with the cheap
-pluggable abstractions of :mod:`repro.domains` (see
-:mod:`repro.baselines.nay_abstract`):
-
-* :class:`NayInt` — per-example interval boxes, solver-free check;
-* :class:`NayFin` — exact finite behavior sets, two-sided below the cap.
+  reimplementation builds that encoding for inspection
+  (:mod:`repro.baselines.nope`) and checks as :class:`NayHorn` does;
+* :class:`NayInt` — the §4.3 framework over per-example interval boxes, a
+  solver-free check;
+* :class:`NayFin` — the §4.3 framework over exact finite behavior sets,
+  two-sided below the cap.
 
 All of them implement the :class:`repro.engine.base.UnrealizabilityEngine`
 protocol — ``solve(problem) -> CegisResult`` (the full CEGIS loop),
@@ -24,9 +24,6 @@ fixed example set), and ``configure(**knobs)`` — and register themselves in
 ``create_engine("naySL")`` rather than importing the classes directly.
 """
 
-from repro.baselines.nay_sl import NaySL
-from repro.baselines.nay_horn import NayHorn
-from repro.baselines.nope import Nope
-from repro.baselines.nay_abstract import NayAbstractDomain, NayFin, NayInt
+from repro.baselines.engines import NayEngine, NayFin, NayHorn, NayInt, NaySL, Nope
 
-__all__ = ["NayAbstractDomain", "NayFin", "NayHorn", "NayInt", "NaySL", "Nope"]
+__all__ = ["NayEngine", "NayFin", "NayHorn", "NayInt", "NaySL", "Nope"]

@@ -31,8 +31,6 @@ keeping same-grammar tasks adjacent.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Hashable
 
@@ -45,6 +43,7 @@ from repro.grammar.rtg import RegularTreeGrammar
 from repro.grammar.transforms import normalize_for_gfa
 from repro.logic.solver import clear_logic_caches
 from repro.semantics.examples import ExampleSet
+from repro.utils.lru import BoundedLru
 
 
 def grammar_fingerprint(grammar: RegularTreeGrammar) -> Hashable:
@@ -65,7 +64,7 @@ class CacheStats:
 
 
 class GfaCache:
-    """An LRU cache over the two pure construction steps of the GFA pipeline.
+    """An LRU cache over the pure construction steps of the GFA pipeline.
 
     ``max_entries`` bounds each table independently; the default comfortably
     covers a full experiment sweep while keeping worst-case memory bounded
@@ -73,27 +72,30 @@ class GfaCache:
     """
 
     def __init__(self, max_entries: int = 256):
-        self.max_entries = max_entries
-        self.stats = CacheStats()
-        self._normalized: "OrderedDict[Hashable, RegularTreeGrammar]" = OrderedDict()
-        self._equations: "OrderedDict[Hashable, EquationSystem]" = OrderedDict()
-        self._pruned: "OrderedDict[Hashable, tuple]" = OrderedDict()
-        self._lock = threading.Lock()
+        self._normalized = BoundedLru(max_entries)
+        self._equations = BoundedLru(max_entries)
+        self._pruned = BoundedLru(max_entries)
+
+    @property
+    def stats(self) -> CacheStats:
+        return CacheStats(
+            normalize_hits=self._normalized.hits,
+            normalize_misses=self._normalized.misses,
+            equations_hits=self._equations.hits,
+            equations_misses=self._equations.misses,
+            prune_hits=self._pruned.hits,
+            prune_misses=self._pruned.misses,
+        )
 
     # -- the cached constructions ---------------------------------------------
 
     def normalized(self, grammar: RegularTreeGrammar) -> RegularTreeGrammar:
         """``normalize_for_gfa(grammar)``, memoized by structural fingerprint."""
         key = grammar_fingerprint(grammar)
-        with self._lock:
-            cached = self._get(self._normalized, key)
-            if cached is not None:
-                self.stats.normalize_hits += 1
-                return cached
-            self.stats.normalize_misses += 1
-        value = normalize_for_gfa(grammar)
-        with self._lock:
-            self._put(self._normalized, key, value)
+        value = self._normalized.get(key)
+        if value is None:
+            value = normalize_for_gfa(grammar)
+            self._normalized.put(key, value)
         return value
 
     def lia_equations(
@@ -107,15 +109,10 @@ class GfaCache:
         interpretations onto one entry.
         """
         key = (grammar_fingerprint(normalized), examples)
-        with self._lock:
-            cached = self._get(self._equations, key)
-            if cached is not None:
-                self.stats.equations_hits += 1
-                return cached
-            self.stats.equations_misses += 1
-        value = build_lia_equations(normalized, CliaInterpretation(examples))
-        with self._lock:
-            self._put(self._equations, key, value)
+        value = self._equations.get(key)
+        if value is None:
+            value = build_lia_equations(normalized, CliaInterpretation(examples))
+            self._equations.put(key, value)
         return value
 
     def pruned(
@@ -135,39 +132,17 @@ class GfaCache:
             examples if mode == "oe" else None,
             mode,
         )
-        with self._lock:
-            cached = self._get(self._pruned, key)
-            if cached is not None:
-                self.stats.prune_hits += 1
-                return cached
-            self.stats.prune_misses += 1
-        # Engines never surface witness terms; skip their enumeration cost.
-        value = prune_grammar(normalized, examples, mode=mode, witnesses=False)
-        with self._lock:
-            self._put(self._pruned, key, value)
+        value = self._pruned.get(key)
+        if value is None:
+            # Engines never surface witness terms; skip their enumeration cost.
+            value = prune_grammar(normalized, examples, mode=mode, witnesses=False)
+            self._pruned.put(key, value)
         return value
-
-    # -- bookkeeping -----------------------------------------------------------
 
     def clear(self) -> None:
-        with self._lock:
-            self._normalized.clear()
-            self._equations.clear()
-            self._pruned.clear()
-            self.stats = CacheStats()
-
-    @staticmethod
-    def _get(table: OrderedDict, key: Hashable):
-        value = table.get(key)
-        if value is not None:
-            table.move_to_end(key)
-        return value
-
-    def _put(self, table: OrderedDict, key: Hashable, value) -> None:
-        table[key] = value
-        table.move_to_end(key)
-        while len(table) > self.max_entries:
-            table.popitem(last=False)
+        self._normalized.clear()
+        self._equations.clear()
+        self._pruned.clear()
 
 
 #: The process-wide cache used by the solvers in :mod:`repro.unreal`.

@@ -4,13 +4,14 @@ Engines register themselves at class-definition time::
 
     @register_engine("naySL")
     @dataclass
-    class NaySL(EngineConfigMixin):
+    class NaySL(NayEngine):
         ...
 
 and every consumer resolves them by name through :func:`create_engine`; the
 CLI, the experiment harness and the pytest benchmarks share this one lookup
-path, so adding a fourth engine is a one-file change (define the class,
-decorate it, import its module from :mod:`repro.baselines`).
+path, so adding an engine is one decorated subclass in
+:mod:`repro.baselines.engines`.  Registration order is the order
+:func:`engine_names` lists.
 
 The registry stores classes, not instances: :func:`create_engine` builds a
 fresh engine per call, passing knobs straight to the dataclass constructor.

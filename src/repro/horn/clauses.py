@@ -10,7 +10,7 @@ head's through the operator's concrete semantics, e.g. for
 
 The query clause asserts the specification on the start predicate's outputs.
 The paper hands such systems to Spacer; this reproduction's
-:meth:`~repro.baselines.nay_horn.NayHorn.check` solves the same GFA problem
+:meth:`~repro.baselines.engines.NayHorn.check` solves the same GFA problem
 with abstract interpretation instead and ships the fixpoint as a model of
 these clauses (see DESIGN.md for the substitution rationale).  The clause
 objects can be pretty-printed in SMT-LIB-like syntax, which the tests use to

@@ -38,8 +38,10 @@ def print_sygus(problem: SyGuSProblem) -> str:
 def _print_synth_fun(problem: SyGuSProblem) -> str:
     grammar = problem.grammar
     arguments = " ".join(f"({name} Int)" for name in problem.variables)
+    # SyGuS takes the first listed nonterminal as the start symbol.
+    others = [nt for nt in grammar.nonterminals if nt != grammar.start]
     groups = []
-    for nonterminal in grammar.nonterminals:
+    for nonterminal in (grammar.start, *others):
         sort = "Int" if nonterminal.sort == Sort.INT else "Bool"
         alternatives = " ".join(
             _print_production(production) for production in grammar.productions_of(nonterminal)

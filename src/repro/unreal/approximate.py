@@ -189,14 +189,3 @@ def check_examples_abstract(
     if solution.prune_report is not None:
         note(solution.prune_report.counters())
     return result
-
-
-def _equal(left: object, right: object) -> bool:
-    """Backward-compatible equality over the default numeric domain's values.
-
-    Kept for the fixpoint tests that cross-check strategies; new code should
-    use the domain's own ``equal``.
-    """
-    from repro.domains.product import NumericProductDomain
-
-    return NumericProductDomain().equal(left, right)

@@ -28,7 +28,6 @@ from repro.semantics.examples import Example, ExampleSet
 from repro.sygus.problem import SyGuSProblem
 from repro.synth.enumerator import EnumerativeSynthesizer
 from repro.synth.verifier import Verifier
-from repro.unreal.approximate import check_examples_abstract
 from repro.unreal.clia import check_clia_examples
 from repro.unreal.lia import check_lia_examples
 from repro.unreal.result import CegisResult, CheckResult, Verdict
@@ -51,25 +50,26 @@ MAX_RANDOM_EXAMPLES = 6
 SYNTHESIZER_MAX_TERMS = 50_000
 
 
+def check_exact(
+    problem: SyGuSProblem, examples: ExampleSet, prune: str = "off"
+) -> CheckResult:
+    """NAY's exact check (Alg. 1): LIA (§5) or CLIA (§6), chosen by the grammar."""
+    if problem.grammar.is_lia() or problem.grammar.is_lia_plus():
+        return check_lia_examples(problem, examples, prune=prune)
+    return check_clia_examples(problem, examples, prune=prune)
+
+
 @dataclass
 class NayConfig:
     """Tuning knobs of the CEGIS loop (defaults follow §7/§8)."""
 
-    mode: str = "sl"  # "sl" = exact semi-linear sets, "horn" = approximate
     seed: Optional[int] = None
     max_iterations: int = 40
     timeout_seconds: Optional[float] = None
     synthesizer_max_size: int = 10
-    stratify: bool = True
-    #: Grammar reduction applied before equation building: ``"off"``,
-    #: ``"reduce"`` (language-preserving merge of equal nonterminals) or
-    #: ``"oe"`` (observational-equivalence merge on the current example set).
-    prune: str = "off"
-    #: When set, replaces the mode-based checker dispatch entirely.  This is
-    #: how NOPE runs the CEGIS loop with its own check (which ships CHC-model
-    #: certificates): the engine passes ``checker=self.check`` instead of
-    #: assigning over the solver's ``check_examples`` method.
-    checker: Optional[Checker] = None
+    #: The unrealizability check of Alg. 2's thread 2.  Each registered
+    #: engine passes its own (:mod:`repro.baselines.engines`).
+    checker: Checker = check_exact
 
 
 class NaySolver:
@@ -82,27 +82,6 @@ class NaySolver:
             max_terms=SYNTHESIZER_MAX_TERMS,
         )
         self.verifier = Verifier()
-
-    # -- example-level check (Alg. 1 dispatch) --------------------------------
-
-    def check_examples(
-        self, problem: SyGuSProblem, examples: ExampleSet
-    ) -> CheckResult:
-        """Dispatch to the injected, LIA, CLIA or approximate checker."""
-        if self.config.checker is not None:
-            return self.config.checker(problem, examples)
-        if self.config.mode in ("horn", "abstract"):
-            return check_examples_abstract(problem, examples, prune=self.config.prune)
-        if problem.grammar.is_lia() or problem.grammar.is_lia_plus():
-            return check_lia_examples(
-                problem,
-                examples,
-                stratify=self.config.stratify,
-                prune=self.config.prune,
-            )
-        return check_clia_examples(
-            problem, examples, stratify=self.config.stratify, prune=self.config.prune
-        )
 
     # -- the CEGIS loop (Alg. 2) ----------------------------------------------
 
@@ -134,7 +113,7 @@ class NaySolver:
             # Thread 2 of Alg. 2: the unrealizability check on E ∪ Er.
             check_set = examples.union(random_examples)
             try:
-                check = self.check_examples(problem, check_set)
+                check = config.checker(problem, check_set)
             except SolverLimitError:
                 return self._timeout(examples, iterations, stopwatch)
             if check.verdict == Verdict.UNREALIZABLE:

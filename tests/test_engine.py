@@ -26,7 +26,7 @@ from repro.experiments import ENGINE_ORDER, fig2, table1
 from repro.semantics.examples import ExampleSet
 from repro.suites import get_benchmark
 from repro.suites.scaling import chain_grammar, example_set
-from repro.unreal.cegis import NayConfig, NaySolver
+from repro.unreal.cegis import NayConfig, NaySolver, check_exact
 from repro.unreal.result import CheckResult, Verdict
 from repro.utils.errors import ReproError
 
@@ -45,10 +45,10 @@ class TestRegistry:
         assert get_engine_class("naySL") is NaySL
 
     def test_create_engine_passes_knobs(self):
-        engine = create_engine("naySL", seed=7, timeout_seconds=12.0, stratify=False)
+        engine = create_engine("naySL", seed=7, timeout_seconds=12.0)
         assert engine.seed == 7
         assert engine.timeout_seconds == 12.0
-        assert engine.name == "naySL-nostrat"
+        assert engine.name == "naySL"
 
     def test_unknown_engine_error(self):
         with pytest.raises(UnknownEngineError) as excinfo:
@@ -67,7 +67,57 @@ class TestRegistry:
             engine.configure(no_such_knob=1)
 
 
+#: Certificate kinds of ``check`` and of the CEGIS ``solve`` on plane1.
+#: Only nayHorn's CEGIS rounds ship the abstract fixpoint, not its CHC model.
+CERTIFICATE_KINDS = {
+    "naySL": ("semilinear_fixpoint", "semilinear_fixpoint"),
+    "nayHorn": ("chc_model", "abstract_fixpoint"),
+    "nope": ("chc_model", "chc_model"),
+    "nayInt": ("abstract_fixpoint", "abstract_fixpoint"),
+    "nayFin": ("abstract_fixpoint", "abstract_fixpoint"),
+}
+
+
+class TestEngineShape:
+    def test_registration_order(self):
+        # The portfolio's default pool and tie order, as `repro-nay engines`
+        # and `GET /engines` list it.
+        assert engine_names() == list(CERTIFICATE_KINDS)
+
+    @pytest.mark.parametrize("name", list(CERTIFICATE_KINDS))
+    def test_certificate_kinds_of_check_and_solve(self, name):
+        benchmark = get_benchmark("plane1", "LimitedPlus")
+        engine = create_engine(name, seed=0)
+        check = engine.check(benchmark.problem, benchmark.witness_examples)
+        solve = engine.solve(benchmark.problem)
+        assert check.verdict == solve.verdict == Verdict.UNREALIZABLE
+        kinds = (check.certificate["kind"], solve.certificate["kind"])
+        assert kinds == CERTIFICATE_KINDS[name]
+
+    def test_nay_sl_checks_a_clia_grammar_with_the_clia_solver(self, monkeypatch):
+        import repro.unreal.cegis as cegis
+
+        calls = []
+        check_clia_examples = cegis.check_clia_examples
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return check_clia_examples(*args, **kwargs)
+
+        monkeypatch.setattr(cegis, "check_clia_examples", counting)
+        benchmark = get_benchmark("max2", "LimitedIf")
+        result = create_engine("naySL").check(
+            benchmark.problem, benchmark.witness_examples
+        )
+        assert result.verdict == Verdict.UNREALIZABLE
+        assert result.certificate["kind"] == "semilinear_fixpoint"
+        assert calls == [1]
+
+
 class TestCheckerInjection:
+    def test_default_checker_is_the_exact_check(self):
+        assert NayConfig().checker is check_exact
+
     def test_config_checker_replaces_dispatch(self, running_example_problem):
         calls = []
 
@@ -206,7 +256,7 @@ class TestCache:
         cache = GfaCache(max_entries=2)
         for length in (2, 3, 4, 5):
             cache.normalized(chain_grammar(length))
-        assert len(cache._normalized) == 2
+        assert cache._normalized.stats()["entries"] == 2
         # Oldest entry evicted: re-requesting it misses again.
         cache.normalized(chain_grammar(2))
         assert cache.stats.normalize_misses == 5

@@ -14,6 +14,7 @@ import random
 import pytest
 
 from repro.domains.clia import CliaInterpretation
+from repro.domains.product import NumericProductDomain
 from repro.gfa.builder import build_lia_equations
 from repro.gfa.equations import EquationSystem, Monomial, Polynomial
 from repro.gfa.fixpoint import DENSE, WORKLIST, FixpointSolution
@@ -26,7 +27,7 @@ from repro.grammar.analysis import trim
 from repro.grammar.rtg import Nonterminal, Production, RegularTreeGrammar
 from repro.semantics.examples import ExampleSet
 from repro.suites import all_benchmarks
-from repro.unreal.approximate import _equal, solve_abstract_gfa
+from repro.unreal.approximate import solve_abstract_gfa
 from repro.unreal.clia import solve_clia_gfa
 from repro.unreal.lia import solve_lia_gfa
 from repro.utils.errors import SolverLimitError
@@ -89,8 +90,9 @@ def test_abstract_strategies_agree_on_suite_grammar(entry):
     grammar = entry.problem.grammar
     worklist = solve_abstract_gfa(grammar, examples, strategy=WORKLIST)
     dense = solve_abstract_gfa(grammar, examples, strategy=DENSE)
+    equal = NumericProductDomain().equal
     for key in worklist.values:
-        assert _equal(worklist.values[key], dense.values[key]), key
+        assert equal(worklist.values[key], dense.values[key]), key
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Tests for ``tools/lint_invariants.py``: the repo invariant linter.
 
 One seeded violation per rule (intern-bypass, identity-literal, protocol)
-plus the accept-path: the real ``src/repro`` tree must lint clean, which is
-exactly what the CI gate runs.
+plus the accept-path: the real ``src/repro`` tree must lint clean.  That
+test is the lint gate: CI runs it with the rest of the tier-1 suite.
 """
 
 from __future__ import annotations
@@ -96,6 +96,25 @@ def test_registered_engine_missing_protocol_method(tmp_path):
     )
     assert [v.rule for v in violations] == ["protocol"]
     assert "solve" in violations[0].message
+
+
+def test_registered_engine_inheriting_only_solve_lacks_check(tmp_path):
+    # The shape of repro.baselines.engines: the base defines ``solve`` and
+    # each registered engine its own ``check``.
+    violations = _lint_source(
+        tmp_path,
+        """
+        class Base:
+            def solve(self, problem, initial_examples=None):
+                return None
+
+        @register_engine("checkless")
+        class Checkless(Base):
+            pass
+        """,
+    )
+    assert [v.rule for v in violations] == ["protocol"]
+    assert violations[0].message.endswith("missing required method(s): check")
 
 
 def test_registered_domain_missing_protocol_method(tmp_path):

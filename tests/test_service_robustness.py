@@ -1,7 +1,7 @@
 """Robustness posture of the HTTP service (:mod:`repro.api.service`).
 
-Request-size bounds (413) and the socket timeout, admission control (503 +
-``Retry-After``), in-flight dedup, the breaker/fabric surface on
+Request-size bounds (413) and the socket timeout, a client that hangs up
+before its reply, admission control (503 + ``Retry-After``), in-flight dedup, the breaker/fabric surface on
 ``/healthz``, the serve smoke that kills a fabric worker mid-request,
 ``repro-nay serve --store`` stopped by SIGTERM, the persistent result
 store tier (instant hits, monotone counters, saturation immunity, one row
@@ -16,6 +16,7 @@ import os
 import re
 import signal
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -178,6 +179,44 @@ class TestRequestBounds:
             assert status == 413
         finally:
             _stop(server, thread)
+
+
+class TestClientHangup:
+    def test_client_gone_before_its_reply_is_dropped_quietly(
+        self, monkeypatch, capsys
+    ):
+        received, hung_up = threading.Event(), threading.Event()
+        answer = ApiRequestHandler._answer
+
+        def answer_after_hangup(handler, request):
+            received.set()
+            hung_up.wait(10)
+            return answer(handler, request)
+
+        monkeypatch.setattr(ApiRequestHandler, "_answer", answer_after_hangup)
+        server = make_server(port=0, solver=Solver(timeout_seconds=60.0))
+        thread = _run(server)
+        request = {"benchmark": "plane1", "engine": "naySL"}
+        try:
+            body = json.dumps(request).encode("utf-8")
+            with socket.create_connection(server.server_address, timeout=10) as client:
+                client.sendall(
+                    b"POST /solve HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+                    % (len(body), body)
+                )
+                assert received.wait(10)
+                # Linger 0: the close resets the connection, so the reply's
+                # write fails.
+                client.setsockopt(
+                    socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                )
+            hung_up.set()
+            status, _, payload = _post(server, request)
+            assert status == 200
+            assert payload["verdict"] == "unrealizable"
+        finally:
+            _stop(server, thread)  # joins the handler threads
+        assert "Exception occurred" not in capsys.readouterr().err
 
 
 class TestAdmissionControl:

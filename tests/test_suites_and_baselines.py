@@ -259,7 +259,6 @@ class TestBaselines:
 
     def test_tool_names(self):
         assert NaySL().name == "naySL"
-        assert NaySL(stratify=False).name == "naySL-nostrat"
         assert NayHorn().name == "nayHorn"
         assert Nope().name == "nope"
 

@@ -4,8 +4,9 @@ Exercises :mod:`repro.sygus.printer` against the whole benchmark corpus:
 
 * ``print -> parse -> print`` is a *fixed point* for every benchmark (the
   second print reproduces the first byte for byte);
-* the reparsed problem means the same thing: its specification agrees with
-  the original on the witness examples for a spread of candidate outputs;
+* the reparsed problem means the same thing: its grammar keeps the start
+  symbol and the number of terms of each size, and its specification agrees
+  with the original on the witness examples for a spread of candidate outputs;
 * for a representative subset, the reparsed problem produces the same
   engine verdict on the witness examples (the full corpus would multiply
   suite runtime; spec-level agreement already covers every benchmark).
@@ -16,6 +17,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import Solver
+from repro.grammar.automaton import TreeAutomaton
 from repro.suites import all_benchmarks
 from repro.sygus import parse_sygus, print_sygus
 
@@ -50,6 +52,16 @@ def test_print_parse_print_is_fixed_point(entry):
     assert (
         reparsed.grammar.num_productions == entry.problem.grammar.num_productions
     )
+
+
+@pytest.mark.parametrize("entry", ALL_BENCHMARKS, ids=BENCHMARK_IDS)
+def test_reparsed_grammar_keeps_start_and_term_counts(entry):
+    # SyGuS takes the first listed nonterminal as the start symbol.
+    reparsed = parse_sygus(print_sygus(entry.problem), name=f"{entry.name}-roundtrip")
+    assert reparsed.grammar.start.name == entry.problem.grammar.start.name
+    assert TreeAutomaton.from_grammar(reparsed.grammar).count_terms(
+        max_size=6
+    ) == TreeAutomaton.from_grammar(entry.problem.grammar).count_terms(max_size=6)
 
 
 @pytest.mark.parametrize("entry", ALL_BENCHMARKS, ids=BENCHMARK_IDS)

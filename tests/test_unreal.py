@@ -404,7 +404,7 @@ class TestSynthesizerAndVerifier:
 
 class TestCegisLoop:
     def test_unrealizable_running_example(self, running_example_problem):
-        solver = NaySolver(NayConfig(mode="sl", seed=0, timeout_seconds=60))
+        solver = NaySolver(NayConfig(seed=0, timeout_seconds=60))
         result = solver.solve(running_example_problem)
         assert result.verdict == Verdict.UNREALIZABLE
         assert result.num_examples >= 1
@@ -413,19 +413,21 @@ class TestCegisLoop:
         problem = SyGuSProblem(
             "threex", running_example_grammar, scaled_variable_spec("x", 3, 0)
         )
-        solver = NaySolver(NayConfig(mode="sl", seed=0, timeout_seconds=60))
+        solver = NaySolver(NayConfig(seed=0, timeout_seconds=60))
         result = solver.solve(problem)
         assert result.verdict == Verdict.REALIZABLE
         assert result.solution is not None
         assert Verifier().verify(problem, result.solution).is_valid
 
     def test_horn_mode_is_sound(self, running_example_problem):
-        solver = NaySolver(NayConfig(mode="horn", seed=0, timeout_seconds=60))
+        solver = NaySolver(
+            NayConfig(seed=0, timeout_seconds=60, checker=check_examples_abstract)
+        )
         result = solver.solve(running_example_problem)
         assert result.verdict in (Verdict.UNREALIZABLE, Verdict.TIMEOUT)
 
     def test_initial_examples_are_respected(self, running_example_problem):
         initial = ExampleSet.of({"x": 1})
-        solver = NaySolver(NayConfig(mode="sl", seed=3, timeout_seconds=60))
+        solver = NaySolver(NayConfig(seed=3, timeout_seconds=60))
         result = solver.solve(running_example_problem, initial_examples=initial)
         assert result.verdict == Verdict.UNREALIZABLE
