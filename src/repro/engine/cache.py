@@ -7,7 +7,7 @@ grammar for each engine.  Normalization (:func:`normalize_for_gfa`) and
 equation-system construction (:func:`build_lia_equations`) are pure
 functions of immutable inputs, so this module caches them process-wide.
 
-Cache keys (documented in DESIGN.md):
+Cache keys (also in ``docs/architecture/engines-api.md``):
 
 * **normalized grammar** — keyed by the grammar *fingerprint*: the tuple
   ``(start, nonterminals, productions)``.  Fingerprints are structural, so
@@ -18,8 +18,12 @@ Cache keys (documented in DESIGN.md):
   the system's constant semi-linear sets embed the example projections, so
   the example set is part of the key.  :class:`~repro.semantics.examples.ExampleSet`
   is hashable by value.
+* **pruned grammar** — keyed by ``(grammar fingerprint, examples, mode)``,
+  with ``examples`` ``None`` for the example-independent ``"reduce"`` mode.
 
-Both cached values are immutable (grammars are never mutated after
+Each table is a :class:`~repro.utils.lru.BoundedLru`.
+
+The cached values are immutable (grammars are never mutated after
 construction; :class:`~repro.gfa.equations.EquationSystem` is built from
 frozen monomials and the Newton solver only derives restricted copies), so
 sharing entries across callers is safe.
